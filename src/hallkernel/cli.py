@@ -4,7 +4,11 @@ Subcommands: ``check``, ``partition``, ``kernel``, ``select``, ``enumerate``
 over mapping documents, and ``sudoku propagate`` / ``sudoku solve`` over
 81-character grid lines.  Exit codes: 0 success, 1 Hall violation /
 contradiction / unsolvable (with the witness printed), 2 parse or validity
-error, 3 size cap exceeded.
+error, 3 size cap exceeded.  A Sudoku batch gets one record per grid line and
+exits with the worst code over its lines.
+
+Every subcommand returns ``(exit code, JSON payload, text lines)``; only
+:func:`main` chooses between the two output formats.
 
 Mapping document format: ``#`` starts a comment; optional ``X:`` / ``Y:``
 header lines list whitespace-separated element tokens; every body line is
@@ -14,6 +18,7 @@ header lines list whitespace-separated element tokens; every body line is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,7 +32,7 @@ from .partition import HallViolation, check_hall, compute_hall_partition
 from .kernel import alldifferent_kernel, extract_selection
 from .oracle import enumerate_selections
 from . import sudoku
-from .sudoku import Contradiction, GridError, parse_grid
+from .sudoku import Contradiction, GridError, grid_cells, parse_grid
 
 
 class DocumentError(ValueError):
@@ -39,24 +44,18 @@ class DocumentError(ValueError):
 
 def parse_mapping_document(text: str) -> FiniteMapping:
     """Parse the text mapping format into a :class:`FiniteMapping`."""
-    declared_x = None
-    declared_y = None
+    headers: dict[str, list[str]] = {}
     entries: dict[str, list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("X:"):
-            if declared_x is not None:
-                raise DocumentError(f"line {lineno}: duplicate X: header")
-            declared_x = line[2:].split()
-            _reject_duplicates(declared_x, f"line {lineno}: X header")
-            continue
-        if line.startswith("Y:"):
-            if declared_y is not None:
-                raise DocumentError(f"line {lineno}: duplicate Y: header")
-            declared_y = line[2:].split()
-            _reject_duplicates(declared_y, f"line {lineno}: Y header")
+        if line[:2] in ("X:", "Y:"):
+            axis = line[0]
+            if axis in headers:
+                raise DocumentError(f"line {lineno}: duplicate {axis}: header")
+            headers[axis] = line[2:].split()
+            _reject_duplicates(headers[axis], f"line {lineno}: {axis} header")
             continue
         if ":" not in line:
             raise DocumentError(f"line {lineno}: expected '<x> : <values>'")
@@ -73,6 +72,8 @@ def parse_mapping_document(text: str) -> FiniteMapping:
         entries[x] = ys
     if not entries:
         raise DocumentError("document declares no images")
+    declared_x = headers.get("X")
+    declared_y = headers.get("Y")
     if declared_x is not None:
         for x in entries:
             if x not in declared_x:
@@ -114,8 +115,7 @@ def serialize_mapping_document(mapping: FiniteMapping) -> str:
     lines = ["X: " + " ".join(str(x) for x in mapping.x_labels),
              "Y: " + " ".join(str(y) for y in mapping.y_labels)]
     for x in mapping.x_labels:
-        image = mapping.image(x)
-        ys = " ".join(str(y) for y in mapping.y_labels if y in image)
+        ys = " ".join(_y_names(mapping, mapping.image(x)))
         lines.append(f"{x} : {ys}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -123,20 +123,21 @@ def serialize_mapping_document(mapping: FiniteMapping) -> str:
 # -- formatting helpers ----------------------------------------------------
 
 
-def _x_sorted(mapping: FiniteMapping, members) -> list:
-    return [x for x in mapping.x_labels if x in members]
+def _x_names(mapping: FiniteMapping, members) -> list[str]:
+    return [str(x) for x in mapping.x_labels if x in members]
 
 
-def _y_sorted(mapping: FiniteMapping, members) -> list:
-    return [y for y in mapping.y_labels if y in members]
+def _y_names(mapping: FiniteMapping, members) -> list[str]:
+    return [str(y) for y in mapping.y_labels if y in members]
 
 
 def _set_text(labels) -> str:
     return "{" + ", ".join(str(x) for x in labels) + "}"
 
 
-def _witness_text(mapping: FiniteMapping, violation: HallViolation) -> str:
-    return _set_text(_x_sorted(mapping, violation.witness))
+def _violation(mapping: FiniteMapping, violation: HallViolation, payload: dict):
+    witness = _x_names(mapping, violation.witness)
+    return 1, {**payload, "witness": witness}, [f"violation: {_set_text(witness)}"]
 
 
 def _read_input(args) -> str:
@@ -146,171 +147,122 @@ def _read_input(args) -> str:
     return sys.stdin.read()
 
 
-def _load_mapping(args) -> FiniteMapping:
-    return parse_mapping_document(_read_input(args))
-
-
 # -- mapping subcommands ----------------------------------------------------
 
 
-def _cmd_check(args) -> int:
-    mapping = _load_mapping(args)
+def _cmd_check(text: str):
+    mapping = parse_mapping_document(text)
     violation = check_hall(mapping)
-    if args.format == "json":
-        payload = {"ok": violation is None}
-        if violation is not None:
-            payload["witness"] = [str(x) for x in _x_sorted(mapping, violation.witness)]
-        print(json.dumps(payload))
-        return 0 if violation is None else 1
-    if violation is None:
-        print("OK")
-        return 0
-    print(f"violation: {_witness_text(mapping, violation)}")
-    return 1
+    if violation is not None:
+        return _violation(mapping, violation, {"ok": False})
+    return 0, {"ok": True}, ["OK"]
 
 
-def _cmd_partition(args) -> int:
-    mapping = _load_mapping(args)
+def _cmd_partition(text: str):
+    mapping = parse_mapping_document(text)
     result = compute_hall_partition(mapping)
     if isinstance(result, HallViolation):
-        if args.format == "json":
-            print(json.dumps(
-                {"witness": [str(x) for x in _x_sorted(mapping, result.witness)]}))
-        else:
-            print(f"violation: {_witness_text(mapping, result)}")
-        return 1
-    if args.format == "json":
-        print(json.dumps({
-            "blocks": [[str(x) for x in _x_sorted(mapping, b)] for b in result.blocks],
-            "residuals": [[str(y) for y in _y_sorted(mapping, r)]
-                          for r in result.residual_images],
-            "exit_kind": result.exit_kind.value,
-        }))
-        return 0
-    for i, (block, resid) in enumerate(zip(result.blocks, result.residual_images),
-                                       start=1):
-        left = _set_text(_x_sorted(mapping, block))
-        right = _set_text(_y_sorted(mapping, resid))
-        print(f"block {i}: {left} -> {right}")
-    print(f"exit: {result.exit_kind.value}")
-    return 0
+        return _violation(mapping, result, {})
+    blocks = [_x_names(mapping, b) for b in result.blocks]
+    residuals = [_y_names(mapping, r) for r in result.residual_images]
+    lines = [f"block {i}: {_set_text(b)} -> {_set_text(r)}"
+             for i, (b, r) in enumerate(zip(blocks, residuals), start=1)]
+    lines.append(f"exit: {result.exit_kind.value}")
+    return 0, {"blocks": blocks, "residuals": residuals,
+               "exit_kind": result.exit_kind.value}, lines
 
 
-def _cmd_kernel(args) -> int:
-    mapping = _load_mapping(args)
+def _cmd_kernel(text: str):
+    mapping = parse_mapping_document(text)
     kern = alldifferent_kernel(mapping)
-    witness = kern.witness
-    if args.format == "json":
-        print(json.dumps({
-            "kernel": {str(x): [str(y) for y in _y_sorted(mapping, img)]
-                       for x, img in zip(mapping.x_labels, kern.images)},
-            "empty": kern.is_empty,
-            "witness": ([str(x) for x in _x_sorted(mapping, witness.witness)]
-                        if witness is not None else None),
-        }))
-        return 1 if kern.is_empty else 0
-    for x, img in zip(mapping.x_labels, kern.images):
-        ys = " ".join(str(y) for y in _y_sorted(mapping, img))
-        print(f"{x}: {ys}".rstrip())
-    if kern.is_empty and witness is not None:
-        print(f"witness: {_witness_text(mapping, witness)}")
-        return 1
-    return 0
+    images = [_y_names(mapping, img) for img in kern.images]
+    lines = [f"{x}: {' '.join(ys)}".rstrip() for x, ys in zip(mapping.x_labels, images)]
+    witness = None
+    if kern.witness is not None:
+        witness = _x_names(mapping, kern.witness.witness)
+        lines.append(f"witness: {_set_text(witness)}")
+    payload = {"kernel": {str(x): ys for x, ys in zip(mapping.x_labels, images)},
+               "empty": kern.is_empty, "witness": witness}
+    return (1 if kern.is_empty else 0), payload, lines
 
 
-def _cmd_select(args) -> int:
-    mapping = _load_mapping(args)
+def _cmd_select(text: str):
+    mapping = parse_mapping_document(text)
     result = extract_selection(mapping)
     if isinstance(result, HallViolation):
-        if args.format == "json":
-            print(json.dumps({
-                "selection": None,
-                "witness": [str(x) for x in _x_sorted(mapping, result.witness)]}))
-        else:
-            print(f"violation: {_witness_text(mapping, result)}")
-        return 1
-    if args.format == "json":
-        print(json.dumps(
-            {"selection": {str(x): str(y) for x, y in result.items()}}))
-        return 0
-    for x, y in result.items():
-        print(f"{x} -> {y}")
-    return 0
+        return _violation(mapping, result, {"selection": None})
+    return (0, {"selection": {str(x): str(y) for x, y in result.items()}},
+            [f"{x} -> {y}" for x, y in result.items()])
 
 
-def _cmd_enumerate(args) -> int:
-    mapping = _load_mapping(args)
-    selections = enumerate_selections(mapping)
-    if args.format == "json":
-        print(json.dumps({
-            "selections": [{str(x): str(y) for x, y in s.items()}
-                           for s in selections]}))
-        return 0
-    for s in selections:
-        print(" ".join(f"{x}->{y}" for x, y in s.items()))
-    return 0
+def _cmd_enumerate(text: str):
+    selections = enumerate_selections(parse_mapping_document(text))
+    return (0, {"selections": [{str(x): str(y) for x, y in s.items()}
+                               for s in selections]},
+            [" ".join(f"{x}->{y}" for x, y in s.items()) for s in selections])
 
 
 # -- sudoku subcommands ------------------------------------------------------
 
 
-def _load_grid_texts(args) -> list[str]:
-    text = _read_input(args)
-    significant = [ch for ch in text if not ch.isspace()]
-    if len(significant) == 81:
-        return [text]
-    lines = [line for line in text.splitlines() if line.strip()]
+def _grid_lines(text: str) -> list[tuple[int, str]]:
+    # One grid spread over the whole input, or one grid per nonblank line.
+    if len(grid_cells(text)) == 81:
+        return [(1, text)]
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1)
+             if grid_cells(line)]
     if not lines:
         raise GridError("no grid in input")
     return lines
 
 
-def _grid_payload(grid: sudoku.SudokuGrid) -> dict:
-    return {
+def _sudoku_record(run, text: str):
+    try:
+        grid = run(parse_grid(text))
+    except Contradiction as exc:
+        unit = str(exc.unit) if exc.unit is not None else None
+        cells = sorted(exc.cells)
+        where = f" in {unit}" if unit else ""
+        return (1, {"contradiction": str(exc), "unit": unit,
+                    "cells": [list(c) for c in cells]},
+                [f"contradiction{where}: {_set_text(cells)}"])
+    if grid is None:
+        return 1, {"solved": False}, ["unsolvable"]
+    return 0, {
         "grid": sudoku.grid_line(grid),
         "complete": grid.is_complete,
         "candidates": {f"{r},{c}": sorted(v)
                        for (r, c), v in sorted(grid.candidates.items())},
-    }
+    }, [sudoku.render(grid)]
 
 
-def _cmd_sudoku_propagate(args) -> int:
-    results = [sudoku.propagate(parse_grid(text)) for text in _load_grid_texts(args)]
-    if args.format == "json":
-        payloads = [_grid_payload(g) for g in results]
-        print(json.dumps(payloads[0] if len(payloads) == 1 else payloads))
-    else:
-        print("\n\n".join(sudoku.render(g) for g in results))
-    return 0
-
-
-def _cmd_sudoku_solve(args) -> int:
-    solutions = []
-    for text in _load_grid_texts(args):
-        solution = sudoku.solve(parse_grid(text))
-        if solution is None:
-            if args.format == "json":
-                print(json.dumps({"solved": False}))
-            else:
-                print("unsolvable")
-            return 1
-        solutions.append(solution)
-    if args.format == "json":
-        payloads = [_grid_payload(g) for g in solutions]
-        print(json.dumps(payloads[0] if len(payloads) == 1 else payloads))
-    else:
-        print("\n\n".join(sudoku.render(g) for g in solutions))
-    return 0
+def _cmd_sudoku(run, text: str):
+    grids = _grid_lines(text)
+    if len(grids) == 1:
+        return _sudoku_record(run, grids[0][1])
+    records = []
+    for lineno, line in grids:
+        try:
+            records.append(_sudoku_record(run, line))
+        except GridError as exc:
+            message = f"error: line {lineno}: {exc}"
+            print(message, file=sys.stderr)
+            records.append((2, {"error": str(exc)}, [message]))
+    return (max(code for code, _, _ in records),
+            [payload for _, payload, _ in records],
+            ["\n\n".join("\n".join(lines) for _, _, lines in records)])
 
 
 # -- wiring ------------------------------------------------------------------
 
 
-def _add_io_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", metavar="FILE",
-                        help="read from FILE instead of standard input")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default: text)")
+def _add_command(commands, name: str, handler, description: str) -> None:
+    sub = commands.add_parser(name, description=description, help=description)
+    sub.add_argument("--input", metavar="FILE",
+                     help="read from FILE instead of standard input")
+    sub.add_argument("--format", choices=("text", "json"), default="text",
+                     help="output format (default: text)")
+    sub.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hallkernel",
         description="Hall partitions, alldifferent kernels and Sudoku propagation "
                     "for set-valued mappings over finite sets.")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized utilities (reserved)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     for name, handler, description in (
@@ -328,46 +278,33 @@ def build_parser() -> argparse.ArgumentParser:
             ("kernel", _cmd_kernel, "compute the alldifferent kernel"),
             ("select", _cmd_select, "extract one alldifferent selection"),
             ("enumerate", _cmd_enumerate, "list all alldifferent selections")):
-        sub = commands.add_parser(name, description=description, help=description)
-        _add_io_options(sub)
-        sub.set_defaults(handler=handler)
+        _add_command(commands, name, handler, description)
 
     sud = commands.add_parser("sudoku", description="Sudoku propagation and solving",
                               help="Sudoku propagation and solving")
     sud_commands = sud.add_subparsers(dest="sudoku_command", required=True)
-    for name, handler, description in (
-            ("propagate", _cmd_sudoku_propagate,
+    for name, run, description in (
+            ("propagate", sudoku.propagate,
              "narrow candidates to the per-unit alldifferent fixpoint"),
-            ("solve", _cmd_sudoku_solve, "solve grids completely")):
-        sub = sud_commands.add_parser(name, description=description, help=description)
-        _add_io_options(sub)
-        sub.set_defaults(handler=handler)
+            ("solve", sudoku.solve, "solve grids completely")):
+        _add_command(sud_commands, name, functools.partial(_cmd_sudoku, run),
+                     description)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except Contradiction as exc:
-        unit = str(exc.unit) if exc.unit is not None else None
-        cells = sorted(exc.cells)
-        if args.format == "json":
-            print(json.dumps({"contradiction": str(exc), "unit": unit,
-                              "cells": [list(c) for c in cells]}))
-        else:
-            where = f" in {unit}" if unit else ""
-            print(f"contradiction{where}: {_set_text(cells)}")
-        return 1
-    except (DocumentError, InvalidMappingError, DomainError, GridError) as exc:
+        code, payload, lines = args.handler(_read_input(args))
+    except (DocumentError, InvalidMappingError, DomainError, GridError,
+            OSError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, SizeCapError) else 2
+    if args.format == "json":
+        print(json.dumps(payload))
+    elif lines:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -7,11 +7,14 @@ selection.  When a Hall partition exists, the kernel is obtained directly
 from it by striking, within each block, everything the earlier blocks can
 map to; when no selection exists, the kernel degenerates to all-empty images
 (a value, not an error -- the violation witness rides along as diagnostics).
+
+Kernel read-off and selection extraction run on bitsets; labels appear only
+in the public results and in the arguments handed to selection pickers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .mappings import DomainError, FiniteMapping, Label, bit_indices, complement
@@ -19,6 +22,7 @@ from .partition import (
     HallPartition,
     HallViolation,
     compute_hall_partition,
+    hall_scan,
     verify_partition,
 )
 
@@ -72,13 +76,12 @@ class KernelMapping:
 
 
 def _kernel_images(mapping: FiniteMapping,
-                   blocks: Sequence[frozenset]) -> tuple[frozenset, ...]:
+                   block_bits: Iterable[int]) -> tuple[frozenset, ...]:
     # Image of x in block i: everything the earlier blocks can take is struck.
     n = len(mapping.x_labels)
     images: list[frozenset | None] = [None] * n
     prefix = 0
-    for block in blocks:
-        wbits = mapping.x_bits(block)
+    for wbits in block_bits:
         for i in bit_indices(wbits):
             images[i] = frozenset(mapping.y_labels_of(mapping.image_bits[i] & ~prefix))
         prefix |= mapping.image_bits_of(wbits)
@@ -94,7 +97,8 @@ def kernel_from_partition(mapping: FiniteMapping,
     """
     if not verify_partition(mapping, partition):
         raise InvalidPartitionError("not a Hall partition of this mapping")
-    return KernelMapping(mapping, _kernel_images(mapping, partition.blocks))
+    images = _kernel_images(mapping, map(mapping.x_bits, partition.blocks))
+    return KernelMapping(mapping, images)
 
 
 def alldifferent_kernel(mapping: FiniteMapping) -> KernelMapping:
@@ -107,7 +111,8 @@ def alldifferent_kernel(mapping: FiniteMapping) -> KernelMapping:
     if isinstance(result, HallViolation):
         empty = tuple(frozenset() for _ in mapping.x_labels)
         return KernelMapping(mapping, empty, witness=result)
-    return KernelMapping(mapping, _kernel_images(mapping, result.blocks))
+    images = _kernel_images(mapping, map(mapping.x_bits, result.blocks))
+    return KernelMapping(mapping, images)
 
 
 def is_alldifferent(mapping: FiniteMapping) -> bool:
@@ -153,47 +158,45 @@ def extract_selection(
     """Build one alldifferent selection, or return the violation witness.
 
     Works block by block through the Hall partition: pick a domain element of
-    the block, pick a value from its residual image, puncture the block
-    mapping by that pair and recurse on what is left (re-partitioning it,
-    since the puncture may split the block).  Any pick within a block is
-    safe, so the pickers are hooks; the defaults take the least-index element
-    and value, making the output reproducible.
+    the block, pick a value from its residual image, puncture the block by
+    that pair and recurse on what is left (re-partitioning it, since the
+    puncture may split the block).  Any pick within a block is safe, so the
+    pickers are hooks; the defaults take the least-index element and value,
+    making the output reproducible.
     """
     pick_x = choose_x if choose_x is not None else (lambda labels: labels[0])
     pick_y = choose_y if choose_y is not None else (lambda x, labels: labels[0])
     result = compute_hall_partition(mapping)
     if isinstance(result, HallViolation):
         return result
-    chosen: dict = {}
-    _assign_by_blocks(mapping, result, chosen, pick_x, pick_y)
-    return Selection(mapping.x_labels, tuple(chosen[x] for x in mapping.x_labels))
+    chosen: list = [None] * len(mapping.x_labels)
+    _assign_by_blocks(mapping, map(mapping.x_bits, result.blocks), 0, chosen,
+                      pick_x, pick_y)
+    return Selection(mapping.x_labels, tuple(chosen))
 
 
-def _assign_by_blocks(mapping, partition, chosen, pick_x, pick_y):
-    prefix = 0
-    for block in partition.blocks:
-        wbits = mapping.x_bits(block)
-        others = mapping.x_labels_of(mapping.full_x_bits & ~wbits)
-        struck = mapping.y_labels_of(prefix)
-        _assign_block(complement(mapping, others, struck), chosen, pick_x, pick_y)
-        prefix |= mapping.image_bits_of(wbits)
-
-
-def _assign_block(block_mapping, chosen, pick_x, pick_y):
-    x = pick_x(block_mapping.x_labels)
-    if x not in block_mapping._x_index:
-        raise DomainError(f"choose_x picked {x!r}, which is not in the block")
-    candidates = tuple(y for y in block_mapping.y_labels
-                       if y in block_mapping.image(x))
-    y = pick_y(x, candidates)
-    if y not in candidates:
-        raise DomainError(f"choose_y picked {y!r}, which is not available for {x!r}")
-    chosen[x] = y
-    if len(block_mapping.x_labels) == 1:
-        return
-    punctured = complement(block_mapping, (x,), (y,))
-    rest = compute_hall_partition(punctured)
-    # A block is non-reducible with nonempty images, so any puncture of it
-    # still satisfies the Hall condition.
-    assert isinstance(rest, HallPartition)
-    _assign_by_blocks(punctured, rest, chosen, pick_x, pick_y)
+def _assign_by_blocks(mapping, block_bits, struck, chosen, pick_x, pick_y):
+    # ``struck`` holds the values taken before the first block; each block
+    # strikes its whole image for the blocks after it.
+    for wbits in block_bits:
+        x = pick_x(mapping.x_labels_of(wbits))
+        i = mapping._x_index.get(x)
+        if i is None or not (wbits >> i) & 1:
+            raise DomainError(f"choose_x picked {x!r}, which is not in the block")
+        candidates = mapping.y_labels_of(mapping.image_bits[i] & ~struck)
+        y = pick_y(x, candidates)
+        if y not in candidates:
+            raise DomainError(
+                f"choose_y picked {y!r}, which is not available for {x!r}")
+        chosen[i] = y
+        rest = wbits & ~(1 << i)
+        if rest:
+            taken = struck | 1 << mapping._y_index[y]
+            punctured = hall_scan(mapping.image_bits, rest, taken)
+            if isinstance(punctured, int):
+                # A block is non-reducible with nonempty images, so any
+                # puncture of it still satisfies the Hall condition.
+                raise RuntimeError(
+                    f"puncturing a Hall block at {x!r} -> {y!r} left a Hall violation")
+            _assign_by_blocks(mapping, punctured[0], taken, chosen, pick_x, pick_y)
+        struck |= mapping.image_bits_of(wbits)

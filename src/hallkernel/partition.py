@@ -7,11 +7,12 @@ possibly the last is critical there.  Such a decomposition exists exactly
 when the mapping satisfies the Hall condition (every subset's image is at
 least as large as the subset), and it is unique up to renumbering.
 
-:func:`compute_hall_partition` finds the partition by scanning subsets of the
-remaining domain in increasing size (lexicographic within a size) and
-extracting the first critical set found as the next block.  A subset whose
-residual image is smaller than itself certifies a Hall-condition violation
-instead; the violation is returned as a value, never raised.
+:func:`hall_scan` finds the partition by scanning subsets of the remaining
+domain in increasing size (lexicographic within a size) and extracting the
+first critical set found as the next block.  A subset whose residual image is
+smaller than itself certifies a Hall-condition violation instead; the
+violation is returned as a value, never raised.  The scan runs on bitsets;
+labels appear only in the public results of :func:`compute_hall_partition`.
 """
 
 from __future__ import annotations
@@ -67,61 +68,39 @@ class HallViolation:
     witness: frozenset
 
 
-def compute_hall_partition(mapping: FiniteMapping, *,
-                           prune: bool = True) -> HallPartition | HallViolation:
-    """Compute the Hall partition of a mapping, or a violation witness.
+def hall_scan(image_bits, remaining: int, struck: int = 0, *,
+              prune: bool = True):
+    """Scan the domain positions in ``remaining``, values in ``struck`` taken.
 
-    Candidate subsets of the remaining domain are tried in increasing size
-    and lexicographic index order within a size; the first critical set of
-    the running residual mapping becomes the next block, which makes every
-    block non-reducible there.  If a candidate's residual image is smaller
-    than the candidate, the union of that candidate with the blocks taken so
-    far witnesses a Hall-condition violation of the original mapping and is
-    returned.  With ``prune`` enabled, sizes below the smallest residual
-    image size are skipped; no critical or deficient set can live there.
-
-    Domains larger than ``ENUMERATION_CAP`` are refused up front: the scan
-    is exponential by design.
+    Subsets are tried in increasing size, lexicographic within a size; the
+    first whose residual image is no larger than itself decides the step.  An
+    equal image makes it the next block (non-reducible in the running residual
+    mapping); a smaller one makes it, with the blocks taken so far, a witness.
+    With ``prune``, sizes below the smallest residual image are skipped: no
+    critical or deficient set lives there.  Returns ``(block_bits,
+    residual_bits, exit_kind)``, or the witness bitset; applies no size cap.
     """
-    n = len(mapping.x_labels)
-    if n > ENUMERATION_CAP:
-        raise SizeCapError(
-            f"partition scan over {n} elements exceeds the cap of {ENUMERATION_CAP}")
-    full = mapping.full_x_bits
-    remaining = full
-    taken_image = 0
+    start_remaining = remaining
     block_bits: list[int] = []
     residual_bits: list[int] = []
-    exit_kind = None
     while True:
         indices = list(bit_indices(remaining))
-        res = [mapping.image_bits[i] & ~taken_image for i in indices]
+        res = [image_bits[i] & ~struck for i in indices]
         start = 1
         if prune:
             start = max(1, min(b.bit_count() for b in res))
-        found = None
-        deficient = None
+        hit = None
         for size in range(start, len(indices) + 1):
             for combo in combinations(range(len(indices)), size):
                 img = 0
                 for k in combo:
                     img |= res[k]
-                count = img.bit_count()
-                if count < size:
-                    deficient = combo
+                if img.bit_count() <= size:
+                    hit = (combo, img)
                     break
-                if count == size:
-                    found = (combo, img)
-                    break
-            if deficient is not None or found is not None:
+            if hit is not None:
                 break
-        if deficient is not None:
-            wbits = 0
-            for k in deficient:
-                wbits |= 1 << indices[k]
-            witness = wbits | (full & ~remaining)
-            return HallViolation(frozenset(mapping.x_labels_of(witness)))
-        if found is None:
+        if hit is None:
             # No critical set among what remains: it all becomes the last block.
             img = 0
             for b in res:
@@ -130,17 +109,38 @@ def compute_hall_partition(mapping: FiniteMapping, *,
             residual_bits.append(img)
             exit_kind = ExitKind.LAST_BLOCK_NONCRITICAL
             break
-        combo, img = found
+        combo, img = hit
         wbits = 0
         for k in combo:
             wbits |= 1 << indices[k]
+        if img.bit_count() < len(combo):
+            return wbits | (start_remaining & ~remaining)
         block_bits.append(wbits)
         residual_bits.append(img)
-        taken_image |= img
+        struck |= img
         remaining &= ~wbits
         if remaining == 0:
             exit_kind = ExitKind.LAST_BLOCK_CRITICAL
             break
+    return tuple(block_bits), tuple(residual_bits), exit_kind
+
+
+def compute_hall_partition(mapping: FiniteMapping, *,
+                           prune: bool = True) -> HallPartition | HallViolation:
+    """Compute the Hall partition of a mapping, or a violation witness.
+
+    Runs :func:`hall_scan` over the whole domain and turns its bitsets into
+    label sets.  Domains larger than ``ENUMERATION_CAP`` are refused up
+    front: the scan is exponential by design.
+    """
+    n = len(mapping.x_labels)
+    if n > ENUMERATION_CAP:
+        raise SizeCapError(
+            f"partition scan over {n} elements exceeds the cap of {ENUMERATION_CAP}")
+    result = hall_scan(mapping.image_bits, mapping.full_x_bits, prune=prune)
+    if isinstance(result, int):
+        return HallViolation(frozenset(mapping.x_labels_of(result)))
+    block_bits, residual_bits, exit_kind = result
     return HallPartition(
         blocks=tuple(frozenset(mapping.x_labels_of(b)) for b in block_bits),
         residual_images=tuple(frozenset(mapping.y_labels_of(r)) for r in residual_bits),

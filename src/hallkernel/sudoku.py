@@ -105,16 +105,21 @@ class SudokuGrid:
         return render(self)
 
 
+def grid_cells(text: str) -> list[str]:
+    """One character per cell; whitespace and the ``|-+`` of :func:`render` skipped."""
+    return [ch for ch in text if not ch.isspace() and ch not in "|-+"]
+
+
 def parse_grid(text: str) -> SudokuGrid:
     """Read a grid from 81 significant characters; ``.`` and ``0`` are blanks.
 
-    Whitespace is ignored, so both one-line and 9x9 layouts parse.  A wrong
-    length, a stray character or a duplicated given within a unit raises
-    :class:`GridError` naming the offending cell; markups are computed before
-    returning, so an immediately contradictory grid raises
-    :class:`Contradiction`.
+    Layout is ignored (see :func:`grid_cells`), so one-line and 9x9 layouts
+    parse, and so does the output of :func:`render`.  A wrong length, a stray
+    character or a duplicated given within a unit raises :class:`GridError`
+    naming the offending cell; markups are computed before returning, so an
+    immediately contradictory grid raises :class:`Contradiction`.
     """
-    chars = [ch for ch in text if not ch.isspace()]
+    chars = grid_cells(text)
     if len(chars) != 81:
         raise GridError(f"expected 81 cells, got {len(chars)}")
     givens: dict[Cell, int] = {}

@@ -60,6 +60,10 @@ def image_size(mapping, members) -> int:
     return len(image_of_set(mapping, members))
 
 
+#: Arto Inkala's "world's hardest Sudoku" (2012).
+INKALA = "8..........36......7..9.2...5...7.......457.....1...3...1....68..85...1..9....4.."
+
+
 def canonical_grid_text() -> str:
     """An 81-character valid solved grid (shifted-rows construction)."""
     return "".join(str(((3 * ((r - 1) % 3) + (r - 1) // 3 + (c - 1)) % 9) + 1)

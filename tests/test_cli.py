@@ -11,7 +11,12 @@ from hallkernel.cli import (
     serialize_mapping_document,
 )
 
-from conftest import blanked, canonical_grid_text
+from hallkernel.sudoku import grid_line, parse_grid, propagate, render, solve
+
+from conftest import INKALA, blanked, canonical_grid_text
+
+#: Row 1 holds 1..8 and column 9 a 9, so cell (1, 9) has no admissible digit.
+DEAD_CELL_TEXT = "12345678." + "........9" + "." * 63
 
 M1_TEXT = """\
 X: 1 2 3
@@ -168,10 +173,11 @@ class TestMappingCommands:
         assert code == 2
         assert "error:" in err
 
-    def test_seed_option_is_accepted(self, capsys, tmp_path):
+    def test_seed_option_is_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "m1.txt", M1_TEXT)
-        code, out, _ = run(capsys, ["--seed", "7", "check", "--input", path])
-        assert (code, out) == (0, "OK\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "7", "check", "--input", path])
+        assert exc.value.code == 2
 
 
 class TestSudokuCommands:
@@ -231,3 +237,45 @@ class TestSudokuCommands:
         code, _, err = run(capsys, ["sudoku", "solve", "--input", path])
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["solve", "propagate"])
+    def test_batch_reports_every_line(self, capsys, tmp_path, command):
+        text = canonical_grid_text()
+        batch = "\n".join([blanked(text, [(1, 1)]), text[:80], "", DEAD_CELL_TEXT,
+                           blanked(text, [(9, 9)])]) + "\n"
+        path = write(tmp_path, "batch.txt", batch)
+        code, out, err = run(capsys, ["sudoku", command, "--input", path,
+                                      "--format", "json"])
+        assert code == 2
+        payload = json.loads(out)
+        assert len(payload) == 4
+        assert payload[0]["grid"] == payload[3]["grid"] == text
+        assert payload[1] == {"error": "expected 81 cells, got 80"}
+        assert payload[2]["cells"] == [[1, 9]]
+        assert err == "error: line 2: expected 81 cells, got 80\n"
+
+    def test_batch_text_records_and_worst_exit_code(self, capsys, tmp_path):
+        from test_sudoku import pigeonhole_text
+        text = canonical_grid_text()
+        batch = "\n".join([blanked(text, [(1, 1)]), pigeonhole_text(), DEAD_CELL_TEXT,
+                           "x" * 81]) + "\n"
+        path = write(tmp_path, "batch.txt", batch)
+        code, out, err = run(capsys, ["sudoku", "solve", "--input", path])
+        assert code == 2
+        records = out.rstrip("\n").split("\n\n")
+        assert records[0].splitlines()[0] == "1 2 3 | 4 5 6 | 7 8 9"
+        assert records[1:] == ["unsolvable", "contradiction: {(1, 9)}",
+                               "error: line 4: bad character 'x' at cell (1, 1)"]
+        assert err == "error: line 4: bad character 'x' at cell (1, 1)\n"
+
+    @pytest.mark.parametrize("text", [canonical_grid_text(), INKALA,
+                                      blanked(canonical_grid_text(), [(1, 1), (5, 5)])])
+    def test_rendered_grid_is_accepted(self, capsys, tmp_path, text):
+        path = write(tmp_path, "rendered.txt", render(parse_grid(text)) + "\n")
+        code, out, _ = run(capsys, ["sudoku", "solve", "--input", path,
+                                    "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["grid"] == grid_line(solve(parse_grid(text)))
+        code, out, _ = run(capsys, ["sudoku", "propagate", "--input", path])
+        assert code == 0
+        assert parse_grid(out).givens == propagate(parse_grid(text)).givens

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,7 +25,7 @@ from hallkernel import (
 )
 from hallkernel.oracle import enumerate_selections, oracle_kernel
 
-from conftest import critical_sets, mappings
+from conftest import all_mappings_3x3, critical_sets, mappings, random_mapping
 
 M1 = FiniteMapping.from_dict({1: {1, 2}, 2: {1, 2}, 3: {1, 2, 3}})
 PERM3 = FiniteMapping.from_dict({i: {i} for i in (1, 2, 3)})
@@ -112,6 +115,12 @@ class TestExtractSelection:
     def test_bad_picker_is_rejected(self):
         with pytest.raises(DomainError):
             extract_selection(M1, choose_x=lambda labels: "nope")
+
+    def test_violation_inside_a_block_is_an_invariant_error(self, monkeypatch):
+        # Unreachable with a correct scan; it must raise, not pass silently.
+        monkeypatch.setattr("hallkernel.kernel.hall_scan", lambda *args: 0b1)
+        with pytest.raises(RuntimeError, match="left a Hall violation"):
+            extract_selection(M1)
 
 
 class TestPuncturedMapping:
@@ -226,3 +235,44 @@ def test_any_in_block_picker_yields_a_selection(f, rng):
         return
     assert len(set(got.values)) == len(f.x_labels)
     assert all(y in f.image(x) for x, y in got.items())
+
+
+def _selection_transcript(mapping):
+    # Default picks, then recording pickers that take the last element and the
+    # middle value, so both hooks see non-trivial argument sequences.
+    log = []
+
+    def pick_x(labels):
+        log.append(("x", labels))
+        return labels[-1]
+
+    def pick_y(x, candidates):
+        log.append(("y", x, candidates))
+        return candidates[len(candidates) // 2]
+
+    default = extract_selection(mapping)
+    custom = extract_selection(mapping, choose_x=pick_x, choose_y=pick_y)
+    return default, custom, log
+
+
+#: sha256 of the selection transcripts over the corpus below, recorded with the
+#: label-level puncture recursion (complement + re-partition per puncture) that
+#: the bit-level recursion replaced.
+SELECTION_TRANSCRIPT_SHA256 = (
+    "479004b68adc2765ce8141ea2dd5507fae2dd7e17666d1218f8366773c854931")
+
+
+def test_bit_level_selection_matches_label_level_transcript():
+    rng = random.Random(20220201)
+    corpus = list(all_mappings_3x3()) + [random_mapping(rng, max_x=8, max_y=8)
+                                         for _ in range(2000)]
+    digest = hashlib.sha256()
+    for mapping in corpus:
+        default, custom, log = _selection_transcript(mapping)
+        if isinstance(default, HallViolation):
+            assert custom == default
+        else:
+            members = enumerate_selections(mapping)
+            assert default in members and custom in members
+        digest.update(repr((default, custom, log)).encode())
+    assert digest.hexdigest() == SELECTION_TRANSCRIPT_SHA256

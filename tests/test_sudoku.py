@@ -22,7 +22,7 @@ from hallkernel.sudoku import (
     unit_mapping,
 )
 
-from conftest import blanked, canonical_grid_text
+from conftest import INKALA, blanked, canonical_grid_text
 
 
 def put(chars, r, c, digit):
@@ -78,6 +78,12 @@ class TestParseGrid:
         pretty = "\n".join(text[i:i + 9] for i in range(0, 81, 9))
         assert parse_grid(pretty).givens == parse_grid(text).givens
         assert parse_grid("0" * 81).givens == {}
+
+    @pytest.mark.parametrize("text", [canonical_grid_text(), INKALA,
+                                      blanked(canonical_grid_text(), [(1, 1), (5, 5)])])
+    def test_rendered_grid_parses_back(self, text):
+        grid = parse_grid(text)
+        assert parse_grid(render(grid)) == grid
 
     def test_canonical_grid_is_complete_and_valid(self):
         grid = parse_grid(canonical_grid_text())
