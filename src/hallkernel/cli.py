@@ -206,13 +206,14 @@ def _cmd_enumerate(text: str):
 
 
 def _grid_lines(text: str) -> list[tuple[int, str]]:
-    # One grid spread over the whole input, or one grid per nonblank line.
-    if len(grid_cells(text)) == 81:
-        return [(1, text)]
+    # One grid at most 9 cells a line (9x9 or render() layout), else one grid a line.
     lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1)
              if grid_cells(line)]
     if not lines:
         raise GridError("no grid in input")
+    sizes = [len(grid_cells(line)) for _, line in lines]
+    if sum(sizes) == 81 and max(sizes) <= 9:
+        return [(1, text)]
     return lines
 
 
@@ -220,12 +221,15 @@ def _sudoku_record(run, text: str):
     try:
         grid = run(parse_grid(text))
     except Contradiction as exc:
-        unit = str(exc.unit) if exc.unit is not None else None
-        cells = sorted(exc.cells)
-        where = f" in {unit}" if unit else ""
-        return (1, {"contradiction": str(exc), "unit": unit,
-                    "cells": [list(c) for c in cells]},
-                [f"contradiction{where}: {_set_text(cells)}"])
+        if run is sudoku.solve:
+            grid = None  # dead already in the markups: unsolvable like any other
+        else:
+            unit = str(exc.unit) if exc.unit is not None else None
+            cells = sorted(exc.cells)
+            where = f" in {unit}" if unit else ""
+            return (1, {"contradiction": str(exc), "unit": unit,
+                        "cells": [list(c) for c in cells]},
+                    [f"contradiction{where}: {_set_text(cells)}"])
     if grid is None:
         return 1, {"solved": False}, ["unsolvable"]
     return 0, {

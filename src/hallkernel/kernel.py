@@ -3,28 +3,23 @@
 A *selection* picks one value from each image; it is *alldifferent* when the
 picks are pairwise distinct.  The alldifferent kernel of a mapping keeps, for
 every domain element, exactly the values taken by at least one alldifferent
-selection.  When a Hall partition exists, the kernel is obtained directly
-from it by striking, within each block, everything the earlier blocks can
-map to; when no selection exists, the kernel degenerates to all-empty images
+selection.  When a Hall partition exists, an element's kernel image is its
+image within its block's residual image (what the earlier blocks can take is
+struck); when no selection exists, the kernel degenerates to all-empty images
 (a value, not an error -- the violation witness rides along as diagnostics).
 
-Kernel read-off and selection extraction run on bitsets; labels appear only
-in the public results and in the arguments handed to selection pickers.
+:func:`kernel_bits` reads it off one bitset :func:`hall_scan`; labels appear
+only in the public results and in the arguments handed to selection pickers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .mappings import DomainError, FiniteMapping, Label, bit_indices, complement
-from .partition import (
-    HallPartition,
-    HallViolation,
-    compute_hall_partition,
-    hall_scan,
-    verify_partition,
-)
+from .partition import HallPartition, HallViolation, hall_scan, verify_partition
+from .partition import compute_hall_partition  # wrapped by perfbench/run.py's TRACED
 
 
 class InvalidPartitionError(ValueError):
@@ -75,17 +70,20 @@ class KernelMapping:
         return dict(zip(self.base.x_labels, self.images))
 
 
-def _kernel_images(mapping: FiniteMapping,
-                   block_bits: Iterable[int]) -> tuple[frozenset, ...]:
-    # Image of x in block i: everything the earlier blocks can take is struck.
-    n = len(mapping.x_labels)
-    images: list[frozenset | None] = [None] * n
-    prefix = 0
-    for wbits in block_bits:
+def kernel_bits(image_bits) -> list[int] | int:
+    """Each position's kernel image as a bitset, or the Hall-violation witness.
+
+    Masks each image with its block's residual image from :func:`hall_scan`,
+    which is the block's image less what the earlier blocks take.
+    """
+    result = hall_scan(image_bits, (1 << len(image_bits)) - 1)
+    if isinstance(result, int):
+        return result
+    kernel = list(image_bits)
+    for wbits, rbits in zip(result[0], result[1]):
         for i in bit_indices(wbits):
-            images[i] = frozenset(mapping.y_labels_of(mapping.image_bits[i] & ~prefix))
-        prefix |= mapping.image_bits_of(wbits)
-    return tuple(images)
+            kernel[i] &= rbits
+    return kernel
 
 
 def kernel_from_partition(mapping: FiniteMapping,
@@ -97,8 +95,10 @@ def kernel_from_partition(mapping: FiniteMapping,
     """
     if not verify_partition(mapping, partition):
         raise InvalidPartitionError("not a Hall partition of this mapping")
-    images = _kernel_images(mapping, map(mapping.x_bits, partition.blocks))
-    return KernelMapping(mapping, images)
+    images = {x: mapping.image(x) & residual
+              for block, residual in zip(partition.blocks, partition.residual_images)
+              for x in block}
+    return KernelMapping(mapping, tuple(images[x] for x in mapping.x_labels))
 
 
 def alldifferent_kernel(mapping: FiniteMapping) -> KernelMapping:
@@ -107,21 +107,18 @@ def alldifferent_kernel(mapping: FiniteMapping) -> KernelMapping:
     Without any alldifferent selection the kernel is total but all-empty,
     carrying the Hall-violation witness as diagnostic metadata.
     """
-    result = compute_hall_partition(mapping)
-    if isinstance(result, HallViolation):
+    result = kernel_bits(mapping.image_bits)
+    if isinstance(result, int):
         empty = tuple(frozenset() for _ in mapping.x_labels)
-        return KernelMapping(mapping, empty, witness=result)
-    images = _kernel_images(mapping, map(mapping.x_bits, result.blocks))
-    return KernelMapping(mapping, images)
+        witness = HallViolation(frozenset(mapping.x_labels_of(result)))
+        return KernelMapping(mapping, empty, witness=witness)
+    return KernelMapping(mapping, tuple(map(frozenset, map(mapping.y_labels_of, result))))
 
 
 def is_alldifferent(mapping: FiniteMapping) -> bool:
     """Whether every image is nonempty and every value lies on some selection."""
-    if any(b == 0 for b in mapping.image_bits):
-        return False
-    kern = alldifferent_kernel(mapping)
-    return all(kern.images[i] == frozenset(mapping.y_labels_of(b))
-               for i, b in enumerate(mapping.image_bits))
+    # An empty image makes the scan return a witness, which is an int, not a list.
+    return kernel_bits(mapping.image_bits) == list(mapping.image_bits)
 
 
 def has_unique_selection(mapping: FiniteMapping) -> bool:
@@ -130,11 +127,11 @@ def has_unique_selection(mapping: FiniteMapping) -> bool:
     Holds exactly when a Hall partition exists with as many blocks as the
     whole domain has image values; all kernel images are then singletons.
     """
-    result = compute_hall_partition(mapping)
-    if isinstance(result, HallViolation):
+    result = hall_scan(mapping.image_bits, mapping.full_x_bits)
+    if isinstance(result, int):
         return False
     total_image = mapping.image_bits_of(mapping.full_x_bits).bit_count()
-    return len(result.blocks) == total_image
+    return len(result[0]) == total_image
 
 
 def punctured_mapping(mapping: FiniteMapping, x: Label, y: Label) -> FiniteMapping:
@@ -166,12 +163,11 @@ def extract_selection(
     """
     pick_x = choose_x if choose_x is not None else (lambda labels: labels[0])
     pick_y = choose_y if choose_y is not None else (lambda x, labels: labels[0])
-    result = compute_hall_partition(mapping)
-    if isinstance(result, HallViolation):
-        return result
+    result = hall_scan(mapping.image_bits, mapping.full_x_bits)
+    if isinstance(result, int):
+        return HallViolation(frozenset(mapping.x_labels_of(result)))
     chosen: list = [None] * len(mapping.x_labels)
-    _assign_by_blocks(mapping, map(mapping.x_bits, result.blocks), 0, chosen,
-                      pick_x, pick_y)
+    _assign_by_blocks(mapping, result[0], 0, chosen, pick_x, pick_y)
     return Selection(mapping.x_labels, tuple(chosen))
 
 

@@ -11,8 +11,8 @@ least as large as the subset), and it is unique up to renumbering.
 domain in increasing size (lexicographic within a size) and extracting the
 first critical set found as the next block.  A subset whose residual image is
 smaller than itself certifies a Hall-condition violation instead; the
-violation is returned as a value, never raised.  The scan runs on bitsets;
-labels appear only in the public results of :func:`compute_hall_partition`.
+violation is returned as a value, never raised.  The scan runs on bitsets and
+applies the size cap; labels appear only in :func:`compute_hall_partition`.
 """
 
 from __future__ import annotations
@@ -78,8 +78,13 @@ def hall_scan(image_bits, remaining: int, struck: int = 0, *,
     mapping); a smaller one makes it, with the blocks taken so far, a witness.
     With ``prune``, sizes below the smallest residual image are skipped: no
     critical or deficient set lives there.  Returns ``(block_bits,
-    residual_bits, exit_kind)``, or the witness bitset; applies no size cap.
+    residual_bits, exit_kind)``, or the witness bitset.  More than
+    ``ENUMERATION_CAP`` positions raise :class:`SizeCapError` up front.
     """
+    n = remaining.bit_count()
+    if n > ENUMERATION_CAP:
+        raise SizeCapError(
+            f"partition scan over {n} elements exceeds the cap of {ENUMERATION_CAP}")
     start_remaining = remaining
     block_bits: list[int] = []
     residual_bits: list[int] = []
@@ -130,13 +135,8 @@ def compute_hall_partition(mapping: FiniteMapping, *,
     """Compute the Hall partition of a mapping, or a violation witness.
 
     Runs :func:`hall_scan` over the whole domain and turns its bitsets into
-    label sets.  Domains larger than ``ENUMERATION_CAP`` are refused up
-    front: the scan is exponential by design.
+    label sets.
     """
-    n = len(mapping.x_labels)
-    if n > ENUMERATION_CAP:
-        raise SizeCapError(
-            f"partition scan over {n} elements exceeds the cap of {ENUMERATION_CAP}")
     result = hall_scan(mapping.image_bits, mapping.full_x_bits, prune=prune)
     if isinstance(result, int):
         return HallViolation(frozenset(mapping.x_labels_of(result)))

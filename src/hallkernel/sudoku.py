@@ -7,7 +7,9 @@ unpopulated cells to their markups, and intersecting each markup with the
 unit mapping's alldifferent kernel is exactly the preemptive-set / pigeonhole
 style of candidate elimination.  :func:`propagate` runs that to a global
 fixpoint across all units, promoting cells whose markup collapses to a
-single digit; :func:`solve` adds depth-first search on top.
+single digit; :func:`solve` adds depth-first search on top.  Propagation
+runs ``kernel_bits`` on 9-bit candidate masks (bit ``d`` for digit ``d``);
+the candidates of a :class:`SudokuGrid` stay sets of digits.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .mappings import DomainError, FiniteMapping
-from .kernel import alldifferent_kernel
+from .mappings import DomainError, FiniteMapping, bit_indices
+from .kernel import kernel_bits
+from .kernel import alldifferent_kernel  # wrapped by perfbench/run.py's TRACED
 
 Cell = tuple[int, int]
 
@@ -169,71 +172,67 @@ def unit_mapping(grid: SudokuGrid, unit: Unit) -> FiniteMapping:
                                    y_order=digits)
 
 
-def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None,
-              unit_order: tuple[Unit, ...] | None = None) -> SudokuGrid:
+def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
     """Intersect candidates with per-unit alldifferent kernels to a fixpoint.
 
-    One sweep visits the units in order (rows, then columns, then blocks by
-    default); a cell whose candidates collapse to one digit is promoted to a
-    given at once, striking the digit from its neighbors' candidates.  Units
-    are revisited only while something they see has changed, which leaves the
+    One sweep visits the units in order (rows, then columns, then blocks); a
+    cell whose candidates collapse to one digit is promoted to a given at
+    once, striking the digit from its neighbors' candidates.  Units are
+    revisited only while something they see has changed, which leaves the
     fixpoint untouched because kernel filtering is idempotent.  Raises
     :class:`Contradiction` when a unit admits no alldifferent assignment or a
     candidate set runs empty; the input grid is never mutated.
     """
-    result = grid.copy()
-    order = tuple(unit_order) if unit_order is not None else ALL_UNITS
-    dirty = set(order)
+    givens = dict(grid.givens)
+    masks = {c: sum(1 << d for d in digits) for c, digits in grid.candidates.items()}
+    dirty = set(ALL_UNITS)
     sweeps = 0
     while dirty and (max_sweeps is None or sweeps < max_sweeps):
         sweeps += 1
-        for unit in order:
+        for unit in ALL_UNITS:
             if unit not in dirty:
                 continue
             dirty.discard(unit)
-            cells = [c for c in unit.cells if c in result.candidates]
+            cells = [c for c in unit.cells if c in masks]
             if not cells:
                 continue
-            kern = alldifferent_kernel(unit_mapping(result, unit))
-            if kern.is_empty:
-                witness = kern.witness.witness if kern.witness else frozenset(cells)
+            kernel = kernel_bits([masks[c] for c in cells])
+            if isinstance(kernel, int):
                 raise Contradiction(
                     f"{unit} admits no alldifferent assignment", unit=unit,
-                    cells=witness)
+                    cells=(cells[i] for i in bit_indices(kernel)))
             singles = []
-            for cell, image in zip(cells, kern.images):
-                new = set(image)
-                if new != result.candidates[cell]:
-                    result.candidates[cell] = new
+            for cell, new in zip(cells, kernel):
+                if new != masks[cell]:
+                    masks[cell] = new
                     for u in UNITS_BY_CELL[cell]:
                         if u is not unit:
                             dirty.add(u)
-                if len(new) == 1:
+                if new & (new - 1) == 0:
                     singles.append(cell)
-            _promote(result, singles, dirty)
-    return result
+            _promote(givens, masks, singles, dirty)
+    return SudokuGrid(givens, {cell: set(bit_indices(m)) for cell, m in masks.items()})
 
 
-def _promote(grid: SudokuGrid, cells, dirty: set) -> None:
+def _promote(givens: dict, masks: dict, cells, dirty: set) -> None:
     # Turn single-candidate cells into givens, cascading through neighbors.
     queue = deque(cells)
     while queue:
         cell = queue.popleft()
-        if cell not in grid.candidates:
+        mask = masks.pop(cell, 0)
+        if not mask:
             continue
-        (digit,) = grid.candidates[cell]
-        del grid.candidates[cell]
-        grid.givens[cell] = digit
+        givens[cell] = digit = mask.bit_length() - 1
         dirty.update(UNITS_BY_CELL[cell])
         for other in NEIGHBORS[cell]:
-            cand = grid.candidates.get(other)
-            if cand is None or digit not in cand:
+            cand = masks.get(other, 0)
+            if not cand >> digit & 1:
                 continue
-            cand.discard(digit)
+            masks[other] = cand = cand & ~(1 << digit)
             if not cand:
                 raise Contradiction(
                     f"cell {other} has no admissible digit", cells=(other,))
-            if len(cand) == 1:
+            if cand & (cand - 1) == 0:
                 queue.append(other)
             dirty.update(UNITS_BY_CELL[other])
 
@@ -254,9 +253,8 @@ def solve(grid: SudokuGrid) -> SudokuGrid | None:
     cell = min(settled.candidates,
                key=lambda c: (len(settled.candidates[c]), c))
     for digit in sorted(settled.candidates[cell]):
-        trial = settled.copy()
-        trial.candidates[cell] = {digit}
-        solution = solve(trial)
+        # propagate never mutates its input, so the branches share the sets.
+        solution = solve(SudokuGrid(settled.givens, settled.candidates | {cell: {digit}}))
         if solution is not None:
             return solution
     return None

@@ -168,6 +168,13 @@ class TestMappingCommands:
         assert code == 3
         assert "cap" in err
 
+    def test_kernel_size_cap_exit_code(self, capsys, tmp_path):
+        values = " ".join(f"y{i}" for i in range(25))
+        path = write(tmp_path, "wide.txt", "".join(f"x{i} : {values}\n" for i in range(25)))
+        code, out, err = run(capsys, ["kernel", "--input", path])
+        assert (code, out) == (3, "")
+        assert "exceeds the cap of 24" in err
+
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run(capsys, ["check", "--input", "/nonexistent/f.txt"])
         assert code == 2
@@ -251,8 +258,21 @@ class TestSudokuCommands:
         assert len(payload) == 4
         assert payload[0]["grid"] == payload[3]["grid"] == text
         assert payload[1] == {"error": "expected 81 cells, got 80"}
-        assert payload[2]["cells"] == [[1, 9]]
+        if command == "solve":
+            assert payload[2] == {"solved": False}
+        else:
+            assert payload[2]["cells"] == [[1, 9]]
         assert err == "error: line 2: expected 81 cells, got 80\n"
+
+    def test_short_lines_adding_up_to_81_cells_are_two_records(self, capsys, tmp_path):
+        path = write(tmp_path, "batch.txt", "1" + "." * 39 + "\n" + "." * 40 + "1\n")
+        code, out, err = run(capsys, ["sudoku", "propagate", "--input", path])
+        assert code == 2
+        assert out.rstrip("\n").split("\n\n") == [
+            "error: line 1: expected 81 cells, got 40",
+            "error: line 2: expected 81 cells, got 41"]
+        assert err == ("error: line 1: expected 81 cells, got 40\n"
+                       "error: line 2: expected 81 cells, got 41\n")
 
     def test_batch_text_records_and_worst_exit_code(self, capsys, tmp_path):
         from test_sudoku import pigeonhole_text
@@ -264,7 +284,7 @@ class TestSudokuCommands:
         assert code == 2
         records = out.rstrip("\n").split("\n\n")
         assert records[0].splitlines()[0] == "1 2 3 | 4 5 6 | 7 8 9"
-        assert records[1:] == ["unsolvable", "contradiction: {(1, 9)}",
+        assert records[1:] == ["unsolvable", "unsolvable",
                                "error: line 4: bad character 'x' at cell (1, 1)"]
         assert err == "error: line 4: bad character 'x' at cell (1, 1)\n"
 

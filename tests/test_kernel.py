@@ -12,6 +12,7 @@ from hallkernel import (
     HallPartition,
     HallViolation,
     InvalidPartitionError,
+    SizeCapError,
     alldifferent_kernel,
     check_hall,
     compute_hall_partition,
@@ -24,6 +25,7 @@ from hallkernel import (
     residual,
 )
 from hallkernel.oracle import enumerate_selections, oracle_kernel
+from hallkernel.partition import hall_scan
 
 from conftest import all_mappings_3x3, critical_sets, mappings, random_mapping
 
@@ -118,7 +120,14 @@ class TestExtractSelection:
 
     def test_violation_inside_a_block_is_an_invariant_error(self, monkeypatch):
         # Unreachable with a correct scan; it must raise, not pass silently.
-        monkeypatch.setattr("hallkernel.kernel.hall_scan", lambda *args: 0b1)
+        # The top-level scan runs for real; the puncture's scan reports a violation.
+        calls = []
+
+        def scan(*args):
+            calls.append(args)
+            return hall_scan(*args) if len(calls) == 1 else 0b1
+
+        monkeypatch.setattr("hallkernel.kernel.hall_scan", scan)
         with pytest.raises(RuntimeError, match="left a Hall violation"):
             extract_selection(M1)
 
@@ -137,6 +146,15 @@ class TestPuncturedMapping:
     def test_value_outside_image_rejected(self):
         with pytest.raises(DomainError):
             punctured_mapping(M1, 1, 3)
+
+
+@pytest.mark.parametrize("entry", [compute_hall_partition, check_hall, alldifferent_kernel,
+                                   is_alldifferent, has_unique_selection,
+                                   extract_selection])
+def test_size_cap_at_every_entry_point(entry):
+    wide = FiniteMapping.from_dict({i: range(25) for i in range(25)})
+    with pytest.raises(SizeCapError, match="exceeds the cap of 24"):
+        entry(wide)
 
 
 @given(mappings(max_x=5, max_y=5))
