@@ -76,8 +76,13 @@ def hall_scan(image_bits, remaining: int, struck: int = 0, *,
     first whose residual image is no larger than itself decides the step.  An
     equal image makes it the next block (non-reducible in the running residual
     mapping); a smaller one makes it, with the blocks taken so far, a witness.
-    With ``prune``, sizes below the smallest residual image are skipped: no
-    critical or deficient set lives there.  Returns ``(block_bits,
+    With ``prune``, each size is walked depth first in lexicographic order with
+    the running union of the chosen images, and a partial subset whose union
+    already holds more values than the size is cut with everything extending
+    it: unions only grow, so no hit lies below it, and the first combination
+    the walk completes is the lexicographically first hit of that size.  Sizes
+    below the smallest residual image are cut at the first position.  Without
+    ``prune`` every combination is built in full.  Returns ``(block_bits,
     residual_bits, exit_kind)``, or the witness bitset.  More than
     ``ENUMERATION_CAP`` positions raise :class:`SizeCapError` up front.
     """
@@ -85,27 +90,18 @@ def hall_scan(image_bits, remaining: int, struck: int = 0, *,
     if n > ENUMERATION_CAP:
         raise SizeCapError(
             f"partition scan over {n} elements exceeds the cap of {ENUMERATION_CAP}")
+    first_fit = _first_fit_pruned if prune else _first_fit
     start_remaining = remaining
     block_bits: list[int] = []
     residual_bits: list[int] = []
     while True:
         indices = list(bit_indices(remaining))
         res = [image_bits[i] & ~struck for i in indices]
-        start = 1
-        if prune:
-            start = max(1, min(b.bit_count() for b in res))
-        hit = None
-        for size in range(start, len(indices) + 1):
-            for combo in combinations(range(len(indices)), size):
-                img = 0
-                for k in combo:
-                    img |= res[k]
-                if img.bit_count() <= size:
-                    hit = (combo, img)
-                    break
+        for size in range(1, len(indices) + 1):
+            hit = first_fit(res, size)
             if hit is not None:
                 break
-        if hit is None:
+        else:
             # No critical set among what remains: it all becomes the last block.
             img = 0
             for b in res:
@@ -128,6 +124,46 @@ def hall_scan(image_bits, remaining: int, struck: int = 0, *,
             exit_kind = ExitKind.LAST_BLOCK_CRITICAL
             break
     return tuple(block_bits), tuple(residual_bits), exit_kind
+
+
+def _first_fit(res, size):
+    # The lex-first ``size``-combination of positions whose union of images
+    # has at most ``size`` values, as ``(combo, union)``; ``None`` if none.
+    for combo in combinations(range(len(res)), size):
+        img = 0
+        for k in combo:
+            img |= res[k]
+        if img.bit_count() <= size:
+            return combo, img
+    return None
+
+
+def _first_fit_pruned(res, size):
+    # ``_first_fit`` as an iterative depth-first walk: ``combo[:depth]`` is
+    # the partial combination, ``union`` its union of images and
+    # ``unions[d]`` the union over ``combo[:d]``.  Position ``i`` is tried at
+    # ``depth`` only while enough positions follow it to fill the size.
+    combo = [0] * size
+    unions = [0] * size
+    depth = union = i = 0
+    last = len(res) - size
+    while True:
+        if i > last + depth:
+            if not depth:
+                return None
+            depth -= 1
+            i = combo[depth] + 1
+            union = unions[depth]
+            continue
+        img = union | res[i]
+        if img.bit_count() <= size:
+            combo[depth] = i
+            if depth + 1 == size:
+                return tuple(combo), img
+            unions[depth] = union
+            depth += 1
+            union = img
+        i += 1
 
 
 def compute_hall_partition(mapping: FiniteMapping, *,

@@ -73,9 +73,20 @@ ALL_UNITS: tuple[Unit, ...] = ROWS + COLUMNS + BLOCKS
 
 ALL_CELLS: tuple[Cell, ...] = tuple((r, c) for r in range(1, 10) for c in range(1, 10))
 
-UNITS_BY_CELL: dict[Cell, tuple[Unit, ...]] = {
-    cell: tuple(u for u in ALL_UNITS if cell in u.cells) for cell in ALL_CELLS
-}
+
+def _units_by_cell() -> tuple[dict[Cell, tuple[Unit, ...]], dict[Cell, int]]:
+    # Each cell's units in ``ALL_UNITS`` order, and the same units as a
+    # bitmask with bit ``u`` standing for ``ALL_UNITS[u]``.
+    units: dict[Cell, tuple[Unit, ...]] = dict.fromkeys(ALL_CELLS, ())
+    bits = dict.fromkeys(ALL_CELLS, 0)
+    for u, unit in enumerate(ALL_UNITS):
+        for cell in unit.cells:
+            units[cell] += (unit,)
+            bits[cell] |= 1 << u
+    return units, bits
+
+
+UNITS_BY_CELL, UNIT_BITS_BY_CELL = _units_by_cell()
 
 #: The 20 other cells sharing a row, column or block with a given cell.
 NEIGHBORS: dict[Cell, frozenset] = {
@@ -185,14 +196,16 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
     """
     givens = dict(grid.givens)
     masks = {c: sum(1 << d for d in digits) for c, digits in grid.candidates.items()}
-    dirty = set(ALL_UNITS)
+    # Bit u of ``dirty`` marks ALL_UNITS[u] for a visit.
+    dirty = (1 << len(ALL_UNITS)) - 1
     sweeps = 0
     while dirty and (max_sweeps is None or sweeps < max_sweeps):
         sweeps += 1
-        for unit in ALL_UNITS:
-            if unit not in dirty:
+        for u, unit in enumerate(ALL_UNITS):
+            bit = 1 << u
+            if not dirty & bit:
                 continue
-            dirty.discard(unit)
+            dirty ^= bit
             cells = [c for c in unit.cells if c in masks]
             if not cells:
                 continue
@@ -205,17 +218,17 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
             for cell, new in zip(cells, kernel):
                 if new != masks[cell]:
                     masks[cell] = new
-                    for u in UNITS_BY_CELL[cell]:
-                        if u is not unit:
-                            dirty.add(u)
+                    dirty |= UNIT_BITS_BY_CELL[cell] & ~bit
                 if new & (new - 1) == 0:
                     singles.append(cell)
-            _promote(givens, masks, singles, dirty)
+            dirty |= _promote(givens, masks, singles)
     return SudokuGrid(givens, {cell: set(bit_indices(m)) for cell, m in masks.items()})
 
 
-def _promote(givens: dict, masks: dict, cells, dirty: set) -> None:
-    # Turn single-candidate cells into givens, cascading through neighbors.
+def _promote(givens: dict, masks: dict, cells) -> int:
+    # Turn single-candidate cells into givens, cascading through neighbors;
+    # returns the bits of the units that saw a change.
+    dirty = 0
     queue = deque(cells)
     while queue:
         cell = queue.popleft()
@@ -223,7 +236,7 @@ def _promote(givens: dict, masks: dict, cells, dirty: set) -> None:
         if not mask:
             continue
         givens[cell] = digit = mask.bit_length() - 1
-        dirty.update(UNITS_BY_CELL[cell])
+        dirty |= UNIT_BITS_BY_CELL[cell]
         for other in NEIGHBORS[cell]:
             cand = masks.get(other, 0)
             if not cand >> digit & 1:
@@ -234,7 +247,8 @@ def _promote(givens: dict, masks: dict, cells, dirty: set) -> None:
                     f"cell {other} has no admissible digit", cells=(other,))
             if cand & (cand - 1) == 0:
                 queue.append(other)
-            dirty.update(UNITS_BY_CELL[other])
+            dirty |= UNIT_BITS_BY_CELL[other]
+    return dirty
 
 
 def solve(grid: SudokuGrid) -> SudokuGrid | None:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallkernel import (
     ExitKind,
@@ -16,8 +17,9 @@ from hallkernel import (
     partitions_equal_up_to_renumbering,
     verify_partition,
 )
+from hallkernel.partition import hall_scan
 
-from conftest import mappings, random_mapping, relabelled
+from conftest import all_mappings_3x3, mappings, random_mapping, relabelled
 
 M1 = FiniteMapping.from_dict({1: {1, 2}, 2: {1, 2}, 3: {1, 2, 3}})
 PERM4 = FiniteMapping.from_dict({i: {i} for i in (1, 2, 3, 4)})
@@ -50,6 +52,61 @@ class TestComputeHallPartition:
     def test_pruning_changes_nothing(self):
         for f in (M1, PERM4, FiniteMapping.from_dict({1: {1, 2}, 2: {1, 2, 3}})):
             assert compute_hall_partition(f, prune=False) == compute_hall_partition(f)
+
+
+def assert_cut_agrees(image_bits, remaining, struck=0):
+    """The pruned scan returns exactly what plain enumeration returns."""
+    pruned = hall_scan(image_bits, remaining, struck)
+    assert pruned == hall_scan(image_bits, remaining, struck, prune=False)
+
+
+def random_masks(rng, n, width):
+    """A nonzero ``remaining`` over ``n`` positions and a ``struck`` over ``width`` values."""
+    return rng.randint(1, (1 << n) - 1), rng.randint(0, (1 << width) - 1)
+
+
+class TestPrunedScan:
+    def test_all_3x3_mappings(self):
+        rng = random.Random(3)
+        for f in all_mappings_3x3():
+            assert_cut_agrees(f.image_bits, f.full_x_bits)
+            assert_cut_agrees(f.image_bits, *random_masks(rng, 3, 3))
+
+    def test_path_and_triangular_families(self):
+        rng = random.Random(12)
+        for n in range(1, 13):
+            path = [0b11 << i for i in range(n)]
+            triangular = [(1 << (i + 1)) - 1 for i in range(n)]
+            shuffled = rng.sample(triangular, n)
+            for bits in (path, triangular, shuffled):
+                assert_cut_agrees(bits, (1 << n) - 1)
+                for _ in range(3):
+                    assert_cut_agrees(bits, *random_masks(rng, n, n + 1))
+
+    def test_seeded_random_mappings(self):
+        rng = random.Random(20261018)
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(60):
+                nx, ny = rng.randint(1, 10), rng.randint(1, 10)
+                bits = [sum(1 << y for y in range(ny) if rng.random() < density)
+                        for _ in range(nx)]
+                assert_cut_agrees(bits, (1 << nx) - 1)
+                for _ in range(3):
+                    assert_cut_agrees(bits, *random_masks(rng, nx, ny))
+
+
+@st.composite
+def scan_arguments(draw):
+    """Image bitsets over up to 8 values, with ``remaining`` and ``struck`` masks."""
+    bits = draw(st.lists(st.integers(0, 255), min_size=1, max_size=8))
+    remaining = draw(st.integers(1, (1 << len(bits)) - 1))
+    return bits, remaining, draw(st.integers(0, 255))
+
+
+@given(scan_arguments())
+@settings(max_examples=300)
+def test_cut_agrees_with_plain_enumeration(arguments):
+    assert_cut_agrees(*arguments)
 
 
 class TestCheckHall:
