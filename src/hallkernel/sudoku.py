@@ -8,8 +8,11 @@ unit mapping's alldifferent kernel is exactly the preemptive-set / pigeonhole
 style of candidate elimination.  :func:`propagate` runs that to a global
 fixpoint across all units, promoting cells whose markup collapses to a
 single digit; :func:`solve` adds depth-first search on top.  Propagation
-runs ``kernel_bits`` on 9-bit candidate masks (bit ``d`` for digit ``d``);
-the candidates of a :class:`SudokuGrid` stay sets of digits.
+and search run ``kernel_bits`` on 9-bit candidate masks (bit ``d`` for digit
+``d``); the candidates of a :class:`SudokuGrid` stay sets of digits, built
+only at the public boundary.  A unit's kernel depends only on its tuple of
+open-cell masks, so :func:`solve` memoises kernels by that tuple for the
+duration of one call, up to ``KERNEL_MEMO_CAP`` entries.
 """
 
 from __future__ import annotations
@@ -24,6 +27,12 @@ from .kernel import alldifferent_kernel  # wrapped by perfbench/run.py's TRACED
 Cell = tuple[int, int]
 
 DIGITS = frozenset(range(1, 10))
+
+#: The most unit kernels one :func:`solve` call keeps memoised.  The memo is
+#: emptied when it reaches this size, which bounds it at a few MB: an entry,
+#: a key tuple and a kernel list of up to nine masks each, takes about 400
+#: bytes.
+KERNEL_MEMO_CAP = 1 << 14
 
 
 class GridError(ValueError):
@@ -99,9 +108,9 @@ NEIGHBORS: dict[Cell, frozenset] = {
 class SudokuGrid:
     """Givens plus the candidate digits of every unpopulated cell.
 
-    Mutable working value: propagation shrinks candidate sets in place on its
-    own copy.  Two grids compare equal when both the givens and the
-    candidates agree.
+    :func:`propagate` and :func:`solve` never mutate a grid they are given;
+    they return a new one.  Two grids compare equal when both the givens and
+    the candidates agree.
     """
 
     givens: dict[Cell, int] = field(default_factory=dict)
@@ -195,7 +204,20 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
     candidate set runs empty; the input grid is never mutated.
     """
     givens = dict(grid.givens)
-    masks = {c: sum(1 << d for d in digits) for c, digits in grid.candidates.items()}
+    masks = _candidate_masks(grid)
+    _propagate_masks(givens, masks, {}, max_sweeps)
+    return SudokuGrid(givens, {cell: set(bit_indices(m)) for cell, m in masks.items()})
+
+
+def _candidate_masks(grid: SudokuGrid) -> dict[Cell, int]:
+    return {c: sum(1 << d for d in digits) for c, digits in grid.candidates.items()}
+
+
+def _propagate_masks(givens: dict, masks: dict, memo: dict,
+                     max_sweeps: int | None = None) -> None:
+    # propagate() on masks, in place.  ``memo`` maps a unit's tuple of open
+    # cell masks to its kernel_bits result; the kernel depends on nothing
+    # else, so one memo serves every unit and every branch of one search.
     # Bit u of ``dirty`` marks ALL_UNITS[u] for a visit.
     dirty = (1 << len(ALL_UNITS)) - 1
     sweeps = 0
@@ -209,20 +231,24 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
             cells = [c for c in unit.cells if c in masks]
             if not cells:
                 continue
-            kernel = kernel_bits([masks[c] for c in cells])
+            key = tuple(masks[c] for c in cells)
+            kernel = memo.get(key)
+            if kernel is None:
+                if len(memo) >= KERNEL_MEMO_CAP:
+                    memo.clear()
+                kernel = memo[key] = kernel_bits(key)
             if isinstance(kernel, int):
                 raise Contradiction(
                     f"{unit} admits no alldifferent assignment", unit=unit,
                     cells=(cells[i] for i in bit_indices(kernel)))
             singles = []
-            for cell, new in zip(cells, kernel):
-                if new != masks[cell]:
+            for cell, old, new in zip(cells, key, kernel):
+                if new != old:
                     masks[cell] = new
                     dirty |= UNIT_BITS_BY_CELL[cell] & ~bit
                 if new & (new - 1) == 0:
                     singles.append(cell)
             dirty |= _promote(givens, masks, singles)
-    return SudokuGrid(givens, {cell: set(bit_indices(m)) for cell, m in masks.items()})
 
 
 def _promote(givens: dict, masks: dict, cells) -> int:
@@ -256,19 +282,26 @@ def solve(grid: SudokuGrid) -> SudokuGrid | None:
 
     Branches on a cell with the fewest candidates (row-major on ties), trying
     digits in ascending order and propagating after each tentative
-    assignment.
+    assignment.  The search runs on 9-bit candidate masks and builds the
+    solution grid once, at the end.  Unit kernels are memoised for the
+    duration of one call, at most ``KERNEL_MEMO_CAP`` of them at a time.
     """
+    givens = _solve_masks(dict(grid.givens), _candidate_masks(grid), {})
+    return None if givens is None else SudokuGrid(givens, {})
+
+
+def _solve_masks(givens: dict, masks: dict, memo: dict) -> dict | None:
+    # solve() on masks: the completed givens, or None.  Each branch works on
+    # its own copies, since _propagate_masks works in place.
     try:
-        settled = propagate(grid)
+        _propagate_masks(givens, masks, memo)
     except Contradiction:
         return None
-    if settled.is_complete:
-        return settled
-    cell = min(settled.candidates,
-               key=lambda c: (len(settled.candidates[c]), c))
-    for digit in sorted(settled.candidates[cell]):
-        # propagate never mutates its input, so the branches share the sets.
-        solution = solve(SudokuGrid(settled.givens, settled.candidates | {cell: {digit}}))
+    if not masks:
+        return givens
+    cell = min(masks, key=lambda c: (masks[c].bit_count(), c))
+    for digit in bit_indices(masks[cell]):
+        solution = _solve_masks(dict(givens), masks | {cell: 1 << digit}, memo)
         if solution is not None:
             return solution
     return None

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from hallkernel.cli import (
 from hallkernel.sudoku import grid_line, parse_grid, propagate, render, solve
 
 from conftest import INKALA, blanked, canonical_grid_text
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Row 1 holds 1..8 and column 9 a 9, so cell (1, 9) has no admissible digit.
 DEAD_CELL_TEXT = "12345678." + "........9" + "." * 63
@@ -299,3 +305,24 @@ class TestSudokuCommands:
         code, out, _ = run(capsys, ["sudoku", "propagate", "--input", path])
         assert code == 0
         assert parse_grid(out).givens == propagate(parse_grid(text)).givens
+
+    def test_optimised_interpreter_gives_the_same_batch(self, tmp_path):
+        # Invariants raise rather than assert, so ``python -O`` changes nothing.
+        from test_sudoku import pigeonhole_text
+        path = write(tmp_path, "batch.txt",
+                     "\n".join([INKALA, pigeonhole_text(), "." * 40]) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+
+        def cli(*flags):
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "hallkernel", "sudoku", "solve",
+                 "--format", "json", "--input", path],
+                env=env, capture_output=True, text=True, timeout=60)
+            return done.returncode, done.stdout
+
+        code, out = cli()
+        assert code == 2
+        payload = json.loads(out)
+        assert payload[0]["grid"] == grid_line(solve(parse_grid(INKALA)))
+        assert payload[1:] == [{"solved": False}, {"error": "expected 81 cells, got 40"}]
+        assert cli("-O") == (code, out)

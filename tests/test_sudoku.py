@@ -2,8 +2,10 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hallkernel import DomainError, check_hall
+from hallkernel import DomainError, check_hall, sudoku
 from hallkernel.sudoku import (
     ALL_CELLS,
     ALL_UNITS,
@@ -241,6 +243,42 @@ class TestSolve:
     def test_unsolvable_grid(self):
         assert solve(parse_grid(pigeonhole_text())) is None
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.permutations(range(1, 10)), st.lists(st.booleans(), min_size=81, max_size=81))
+    def test_any_blanking_of_a_relabelled_grid_is_solved(self, digits, blank):
+        text = "".join(str(digits[int(ch) - 1]) for ch in canonical_grid_text())
+        grid = parse_grid(blanked(text, [c for c, b in zip(ALL_CELLS, blank) if b]))
+        solution = solve(grid)
+        assert solution is not None
+        assert is_solved(solution)
+        assert all(solution.givens[c] == d for c, d in grid.givens.items())
+
+    def test_no_kernel_memo_outlives_a_solve(self, monkeypatch):
+        calls = []
+        kernel_bits = sudoku.kernel_bits
+        monkeypatch.setattr(sudoku, "kernel_bits",
+                            lambda bits: calls.append(bits) or kernel_bits(bits))
+        grid = parse_grid(INKALA)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            solve(grid)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        # A memo holding one entry at a time still has to recompute repeats.
+        monkeypatch.setattr(sudoku, "KERNEL_MEMO_CAP", 1)
+        calls.clear()
+        solve(grid)
+        assert len(calls) > counts[0]
+
+    def test_kernel_memo_stays_within_its_cap(self, monkeypatch):
+        monkeypatch.setattr(sudoku, "KERNEL_MEMO_CAP", 8)
+        grid = parse_grid(INKALA)
+        memo = {}
+        givens = sudoku._solve_masks(dict(grid.givens), sudoku._candidate_masks(grid), memo)
+        assert givens == solve(grid).givens
+        assert 0 < len(memo) <= 8
+
 
 class TestRendering:
     def test_round_trip_through_text(self):
@@ -290,10 +328,19 @@ SUDOKU_TRANSCRIPT_SHA256 = (
     "630c5da9c12858a988c14e1c7a28c3367c3e2d6cf6268f9cf160791652a74c1b")
 
 
-def test_mask_propagation_matches_label_level_transcript():
+def _transcript_digest():
     digest = hashlib.sha256()
     for grid in _transcript_corpus():
         records = [_propagation_record(grid, sweeps) for sweeps in (None, 1, 2)]
         solution = solve(grid)
         digest.update(repr((records, solution and grid_line(solution))).encode())
-    assert digest.hexdigest() == SUDOKU_TRANSCRIPT_SHA256
+    return digest.hexdigest()
+
+
+def test_mask_propagation_matches_label_level_transcript():
+    assert _transcript_digest() == SUDOKU_TRANSCRIPT_SHA256
+
+
+def test_transcript_holds_when_the_kernel_memo_is_cleared_at_every_miss(monkeypatch):
+    monkeypatch.setattr(sudoku, "KERNEL_MEMO_CAP", 1)
+    assert _transcript_digest() == SUDOKU_TRANSCRIPT_SHA256
