@@ -22,12 +22,7 @@ import functools
 import json
 import sys
 
-from .mappings import (
-    DomainError,
-    FiniteMapping,
-    InvalidMappingError,
-    SizeCapError,
-)
+from .mappings import DomainError, FiniteMapping, InvalidMappingError, SizeCapError
 from .partition import HallViolation, check_hall, compute_hall_partition
 from .kernel import alldifferent_kernel, extract_selection
 from .oracle import enumerate_selections
@@ -43,7 +38,13 @@ class DocumentError(ValueError):
 
 
 def parse_mapping_document(text: str) -> FiniteMapping:
-    """Parse the text mapping format into a :class:`FiniteMapping`."""
+    """Parse the text mapping format into a :class:`FiniteMapping`.
+
+    Checks only the document syntax and that no image line's element is left
+    out of an ``X:`` header; the mapping invariants come from
+    :class:`FiniteMapping`, whose errors are raised as :class:`DocumentError`.
+    X and Y without a header are taken in order of first appearance.
+    """
     headers: dict[str, list[str]] = {}
     entries: dict[str, list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -72,33 +73,17 @@ def parse_mapping_document(text: str) -> FiniteMapping:
         entries[x] = ys
     if not entries:
         raise DocumentError("document declares no images")
-    declared_x = headers.get("X")
-    declared_y = headers.get("Y")
-    if declared_x is not None:
-        for x in entries:
-            if x not in declared_x:
-                raise DocumentError(f"{x!r} has an image line but is not in X")
-        for x in declared_x:
-            if x not in entries:
-                raise DocumentError(f"{x!r} is declared in X but has no image line")
-        x_order = declared_x
-    else:
-        x_order = list(entries)
-    if declared_y is not None:
-        y_order = declared_y
-        declared = set(declared_y)
-        for x, ys in entries.items():
-            for y in ys:
-                if y not in declared:
-                    raise DocumentError(
-                        f"image of {x!r} contains {y!r}, which is not in Y")
-    else:
-        seen: dict[str, None] = {}
-        for x in x_order:
-            for y in entries[x]:
-                seen.setdefault(y)
-        y_order = list(seen)
-    return FiniteMapping(x_order, y_order, entries)
+    x_order = headers.get("X", list(entries))
+    for x in entries:
+        if x not in x_order:
+            raise DocumentError(f"{x!r} has an image line but is not in X")
+    y_order = headers.get("Y")
+    if y_order is None:
+        y_order = dict.fromkeys(y for x in x_order for y in entries.get(x, ()))
+    try:
+        return FiniteMapping(x_order, y_order, entries)
+    except InvalidMappingError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 def _reject_duplicates(tokens: list[str], where: str) -> None:
@@ -150,16 +135,14 @@ def _read_input(args) -> str:
 # -- mapping subcommands ----------------------------------------------------
 
 
-def _cmd_check(text: str):
-    mapping = parse_mapping_document(text)
+def _cmd_check(mapping: FiniteMapping):
     violation = check_hall(mapping)
     if violation is not None:
         return _violation(mapping, violation, {"ok": False})
     return 0, {"ok": True}, ["OK"]
 
 
-def _cmd_partition(text: str):
-    mapping = parse_mapping_document(text)
+def _cmd_partition(mapping: FiniteMapping):
     result = compute_hall_partition(mapping)
     if isinstance(result, HallViolation):
         return _violation(mapping, result, {})
@@ -172,8 +155,7 @@ def _cmd_partition(text: str):
                "exit_kind": result.exit_kind.value}, lines
 
 
-def _cmd_kernel(text: str):
-    mapping = parse_mapping_document(text)
+def _cmd_kernel(mapping: FiniteMapping):
     kern = alldifferent_kernel(mapping)
     images = [_y_names(mapping, img) for img in kern.images]
     lines = [f"{x}: {' '.join(ys)}".rstrip() for x, ys in zip(mapping.x_labels, images)]
@@ -186,8 +168,7 @@ def _cmd_kernel(text: str):
     return (1 if kern.is_empty else 0), payload, lines
 
 
-def _cmd_select(text: str):
-    mapping = parse_mapping_document(text)
+def _cmd_select(mapping: FiniteMapping):
     result = extract_selection(mapping)
     if isinstance(result, HallViolation):
         return _violation(mapping, result, {"selection": None})
@@ -195,8 +176,8 @@ def _cmd_select(text: str):
             [f"{x} -> {y}" for x, y in result.items()])
 
 
-def _cmd_enumerate(text: str):
-    selections = enumerate_selections(parse_mapping_document(text))
+def _cmd_enumerate(mapping: FiniteMapping):
+    selections = enumerate_selections(mapping)
     return (0, {"selections": [{str(x): str(y) for x, y in s.items()}
                                for s in selections]},
             [" ".join(f"{x}->{y}" for x, y in s.items()) for s in selections])
@@ -282,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("kernel", _cmd_kernel, "compute the alldifferent kernel"),
             ("select", _cmd_select, "extract one alldifferent selection"),
             ("enumerate", _cmd_enumerate, "list all alldifferent selections")):
-        _add_command(commands, name, handler, description)
+        _add_command(commands, name,
+                     lambda text, run=handler: run(parse_mapping_document(text)),
+                     description)
 
     sud = commands.add_parser("sudoku", description="Sudoku propagation and solving",
                               help="Sudoku propagation and solving")
@@ -300,8 +283,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, payload, lines = args.handler(_read_input(args))
-    except (DocumentError, InvalidMappingError, DomainError, GridError,
-            OSError, SizeCapError) as exc:
+    except (DocumentError, DomainError, GridError, OSError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SizeCapError) else 2
     if args.format == "json":

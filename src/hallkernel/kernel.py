@@ -34,6 +34,8 @@ class Selection:
     values: tuple
 
     def __getitem__(self, x: Label):
+        if x not in self.x_labels:
+            raise DomainError(f"{x!r} is not in the domain")
         return self.values[self.x_labels.index(x)]
 
     def items(self):

@@ -12,7 +12,8 @@ domain in increasing size (lexicographic within a size) and extracting the
 first critical set found as the next block.  A subset whose residual image is
 smaller than itself certifies a Hall-condition violation instead; the
 violation is returned as a value, never raised.  The scan runs on bitsets and
-applies the size cap; labels appear only in :func:`compute_hall_partition`.
+applies the size cap; labels appear only in :func:`compute_hall_partition`
+and :func:`check_hall`.
 """
 
 from __future__ import annotations
@@ -186,8 +187,10 @@ def compute_hall_partition(mapping: FiniteMapping, *,
 
 def check_hall(mapping: FiniteMapping) -> HallViolation | None:
     """Return a violation witness if the Hall condition fails, else ``None``."""
-    result = compute_hall_partition(mapping)
-    return result if isinstance(result, HallViolation) else None
+    result = hall_scan(mapping.image_bits, mapping.full_x_bits)
+    if isinstance(result, int):
+        return HallViolation(frozenset(mapping.x_labels_of(result)))
+    return None
 
 
 def verify_partition(mapping: FiniteMapping, partition: HallPartition) -> bool:
@@ -198,9 +201,12 @@ def verify_partition(mapping: FiniteMapping, partition: HallPartition) -> bool:
     blocks must partition the domain, each block must have nonempty images
     and be non-reducible in the chained residual mapping, every block but the
     last must be critical there, and the stored residual images and exit kind
-    must agree with recomputation.  Shares no code with
-    :func:`compute_hall_partition`.
+    must agree with recomputation.  Anything other than a
+    :class:`HallPartition`, a :class:`HallViolation` included, is rejected.
+    Shares no code with :func:`compute_hall_partition`.
     """
+    if not isinstance(partition, HallPartition):
+        return False
     blocks = partition.blocks
     if len(blocks) != len(partition.residual_images):
         return False

@@ -1,13 +1,16 @@
+import functools
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hallkernel import FiniteMapping
+from hallkernel import FiniteMapping, cli
 from hallkernel.cli import (
     DocumentError,
     main,
@@ -17,7 +20,13 @@ from hallkernel.cli import (
 
 from hallkernel.sudoku import grid_line, parse_grid, propagate, render, solve
 
-from conftest import INKALA, blanked, canonical_grid_text
+from conftest import (
+    INKALA,
+    all_mappings_3x3,
+    blanked,
+    canonical_grid_text,
+    random_mapping,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -33,6 +42,22 @@ Y: 1 2 3
 """
 
 PIGEON_TEXT = "1 : 1\n2 : 1\n"
+
+BAD_DOCUMENTS = [
+    "",
+    "1 1 2\n",
+    "1 : 1\n1 : 2\n",
+    "1 : 1 1\n",
+    "X: 1 1\n1 : 1\n",
+    "X: 1\nY: 1\n2 : 1\n",
+    "X: 1 2\nY: 1\n1 : 1\n",
+    "Y: 1\n1 : 2\n",
+    "X: 1\nX: 1\n1 : 1\n",
+    "one two : 1\n",
+    "Y: 1 1\n1 : 1\n",
+    "X:\n1 : a\n",
+    "X: 1\n1 : a\n2 : b\n",
+]
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -62,25 +87,32 @@ class TestMappingDocuments:
         assert mapping.y_labels == ("2", "1")
         assert mapping.image("2") == frozenset()
 
+    def test_values_follow_the_x_header_without_a_y_header(self):
+        mapping = parse_mapping_document("X: 2 1\n1 : a\n2 : b\n")
+        assert mapping.x_labels == ("2", "1")
+        assert mapping.y_labels == ("b", "a")
+
+    def test_empty_y_header_declares_no_values(self):
+        assert parse_mapping_document("Y:\n1 :\n").y_labels == ()
+        with pytest.raises(DocumentError, match="'a'"):
+            parse_mapping_document("Y:\n1 : a\n")
+
     def test_round_trip_is_identity(self):
         for text in (M1_TEXT, PIGEON_TEXT, "a : p q\nb :\nc : q\n"):
             mapping = parse_mapping_document(text)
             assert parse_mapping_document(serialize_mapping_document(mapping)) == mapping
 
-    @pytest.mark.parametrize("text", [
-        "",
-        "1 1 2\n",
-        "1 : 1\n1 : 2\n",
-        "1 : 1 1\n",
-        "X: 1 1\n1 : 1\n",
-        "X: 1\nY: 1\n2 : 1\n",
-        "X: 1 2\nY: 1\n1 : 1\n",
-        "Y: 1\n1 : 2\n",
-        "X: 1\nX: 1\n1 : 1\n",
-        "one two : 1\n",
-    ])
-    def test_bad_documents(self, text):
+    @pytest.mark.parametrize("text", BAD_DOCUMENTS)
+    def test_bad_documents(self, text, capsys, monkeypatch):
         with pytest.raises(DocumentError):
+            parse_mapping_document(text)
+        code, out, err = run(capsys, ["check"], stdin=text, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", ["X: 1 2\nY: 1\n1 : 1\n", "Y: 1\n1 : 2\n"])
+    def test_mapping_errors_name_the_element(self, text):
+        with pytest.raises(DocumentError, match="'2'"):
             parse_mapping_document(text)
 
     def test_unserializable_label(self):
@@ -326,3 +358,36 @@ class TestSudokuCommands:
         assert payload[0]["grid"] == grid_line(solve(parse_grid(INKALA)))
         assert payload[1:] == [{"solved": False}, {"error": "expected 81 cells, got 40"}]
         assert cli("-O") == (code, out)
+
+
+def _mapping_documents():
+    # Every 3x3 mapping with and without its X:/Y: headers, 300 seeded random
+    # mappings up to 7x7, and every document test_bad_documents rejects.
+    docs = []
+    for mapping in all_mappings_3x3():
+        text = serialize_mapping_document(mapping)
+        docs += [text, text.split("\n", 2)[2]]
+    rng = random.Random(2022)
+    docs += [serialize_mapping_document(random_mapping(rng, max_x=7, max_y=7))
+             for _ in range(300)]
+    return docs + BAD_DOCUMENTS
+
+
+#: sha256 of (exit code, stdout) of every mapping subcommand in both formats
+#: over the documents above, recorded while the CLI still re-checked the
+#: mapping invariants itself.
+MAPPING_TRANSCRIPT_SHA256 = (
+    "12661f110503d5766e1fe14afbfef176132405fa22f9b5522f51373762310958")
+
+
+def test_mapping_commands_match_recorded_transcript(capsys, monkeypatch):
+    # One argparse parser for all 13,000-odd calls; building it is most of a call.
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    digest = hashlib.sha256()
+    for text in _mapping_documents():
+        for command in ("check", "partition", "kernel", "select", "enumerate"):
+            for fmt in ("text", "json"):
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                code = main([command, "--format", fmt])
+                digest.update(repr((code, capsys.readouterr().out)).encode())
+    assert digest.hexdigest() == MAPPING_TRANSCRIPT_SHA256

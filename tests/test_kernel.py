@@ -56,6 +56,8 @@ class TestKernelFromPartition:
             exit_kind=ExitKind.LAST_BLOCK_CRITICAL)
         with pytest.raises(InvalidPartitionError):
             kernel_from_partition(M1, bogus)
+        with pytest.raises(InvalidPartitionError):
+            kernel_from_partition(PIGEON, compute_hall_partition(PIGEON))
 
 
 class TestAlldifferentKernel:
@@ -113,6 +115,12 @@ class TestExtractSelection:
         assert sorted(values) == [1, 2, 3]
         assert len(set(values.values())) == 3
         assert all(y in M1.image(x) for x, y in values.items())
+
+    def test_label_outside_the_domain_is_a_domain_error(self):
+        selection = extract_selection(M1)
+        assert selection[3] == 3
+        with pytest.raises(DomainError, match="4"):
+            selection[4]
 
     def test_bad_picker_is_rejected(self):
         with pytest.raises(DomainError):

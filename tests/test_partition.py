@@ -121,6 +121,14 @@ class TestCheckHall:
         violation = check_hall(f)
         assert 2 in violation.witness
 
+    def test_same_witness_as_the_partition(self):
+        rng = random.Random(11)
+        corpus = [*all_mappings_3x3(), *(random_mapping(rng) for _ in range(300))]
+        for f in corpus:
+            result = compute_hall_partition(f)
+            expected = result if isinstance(result, HallViolation) else None
+            assert check_hall(f) == expected
+
 
 class TestVerifyPartition:
     def test_accepts_computed_partitions(self):
@@ -151,6 +159,8 @@ class TestVerifyPartition:
             residual_images=good.residual_images,
             exit_kind=good.exit_kind)
         assert not verify_partition(M1, overlapping)
+        pigeon = FiniteMapping.from_dict({1: {1}, 2: {1}})
+        assert not verify_partition(pigeon, compute_hall_partition(pigeon))
 
     def test_accepts_valid_alternative_orderings(self):
         # Independent blocks (disjoint images) may appear in either order.
