@@ -11,7 +11,6 @@ from hallkernel import (
     image_of_set,
     is_critical,
     is_non_reducible,
-    min_image_size,
     residual,
 )
 
@@ -40,7 +39,3 @@ print("residual after {1, 2}:", residual(F, {1, 2}))
 
 # complement() is the general form: drop domain elements, strike values.
 print("drop {1}, strike {1, 2}:", complement(F, {1}, {1, 2}))
-
-# Every critical set is at least as large as the smallest image: no subset
-# of fewer elements can be a block.
-print("smallest image size:", min_image_size(F))

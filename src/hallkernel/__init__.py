@@ -18,7 +18,6 @@ from .mappings import (
     image_of_set,
     is_critical,
     is_non_reducible,
-    min_image_size,
     residual,
 )
 from .partition import (
@@ -68,7 +67,6 @@ __all__ = [
     "residual",
     "is_critical",
     "is_non_reducible",
-    "min_image_size",
     "compute_hall_partition",
     "check_hall",
     "verify_partition",

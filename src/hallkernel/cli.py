@@ -22,7 +22,7 @@ import functools
 import json
 import sys
 
-from .mappings import DomainError, FiniteMapping, InvalidMappingError, SizeCapError
+from .mappings import FiniteMapping, InvalidMappingError, SizeCapError
 from .partition import HallViolation, check_hall, compute_hall_partition
 from .kernel import alldifferent_kernel, extract_selection
 from .oracle import enumerate_selections
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, payload, lines = args.handler(_read_input(args))
-    except (DocumentError, DomainError, GridError, OSError, SizeCapError) as exc:
+    except (DocumentError, GridError, OSError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SizeCapError) else 2
     if args.format == "json":

@@ -276,13 +276,3 @@ def is_non_reducible(mapping: FiniteMapping, members: Iterable[Label]) -> bool:
             if img.bit_count() == size:
                 return False
     return True
-
-
-def min_image_size(mapping: FiniteMapping) -> int:
-    """The smallest image size over the domain.
-
-    Every critical set must be at least this large.  The partition scan does
-    not call this: its cut on running unions rejects every smaller size at
-    the first position of the walk.
-    """
-    return min(b.bit_count() for b in mapping.image_bits)

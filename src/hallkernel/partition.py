@@ -167,14 +167,13 @@ def _first_fit_pruned(res, size):
         i += 1
 
 
-def compute_hall_partition(mapping: FiniteMapping, *,
-                           prune: bool = True) -> HallPartition | HallViolation:
+def compute_hall_partition(mapping: FiniteMapping) -> HallPartition | HallViolation:
     """Compute the Hall partition of a mapping, or a violation witness.
 
     Runs :func:`hall_scan` over the whole domain and turns its bitsets into
     label sets.
     """
-    result = hall_scan(mapping.image_bits, mapping.full_x_bits, prune=prune)
+    result = hall_scan(mapping.image_bits, mapping.full_x_bits)
     if isinstance(result, int):
         return HallViolation(frozenset(mapping.x_labels_of(result)))
     block_bits, residual_bits, exit_kind = result

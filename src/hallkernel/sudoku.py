@@ -7,12 +7,12 @@ unpopulated cells to their markups, and intersecting each markup with the
 unit mapping's alldifferent kernel is exactly the preemptive-set / pigeonhole
 style of candidate elimination.  :func:`propagate` runs that to a global
 fixpoint across all units, promoting cells whose markup collapses to a
-single digit; :func:`solve` adds depth-first search on top.  Propagation
-and search run ``kernel_bits`` on 9-bit candidate masks (bit ``d`` for digit
-``d``); the candidates of a :class:`SudokuGrid` stay sets of digits, built
-only at the public boundary.  A unit's kernel depends only on its tuple of
-open-cell masks, so :func:`solve` memoises kernels by that tuple for the
-duration of one call, up to ``KERNEL_MEMO_CAP`` entries.
+single digit; :func:`solve` adds depth-first search on top.  Inside, cells
+are slots 0..80 in row-major order: markup, propagation and search keep a
+digit and a 9-bit candidate mask (bit ``d`` for digit ``d``) per slot in two
+81-int lists, 0 meaning none, and ``(row, column)`` labels and sets of digits
+exist only at the public boundary.  :func:`solve` memoises unit kernels by
+their tuple of masks for one call, up to ``KERNEL_MEMO_CAP`` entries.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .kernel import alldifferent_kernel  # wrapped by perfbench/run.py's TRACED
 Cell = tuple[int, int]
 
 DIGITS = frozenset(range(1, 10))
+_DIGIT_BITS = 0x3FE  # bits 1..9, one per digit
 
 #: The most unit kernels one :func:`solve` call keeps memoised.  The memo is
 #: emptied when it reaches this size, which bounds it at a few MB: an entry,
@@ -64,44 +65,38 @@ class Unit:
         return f"{self.kind} {self.index}"
 
 
-def _build_units() -> tuple[tuple[Unit, ...], tuple[Unit, ...], tuple[Unit, ...]]:
-    rows = tuple(Unit("row", r, tuple((r, c) for c in range(1, 10)))
-                 for r in range(1, 10))
-    columns = tuple(Unit("column", c, tuple((r, c) for r in range(1, 10)))
-                    for c in range(1, 10))
-    blocks = []
-    for b in range(9):
-        r0, c0 = 3 * (b // 3) + 1, 3 * (b % 3) + 1
-        cells = tuple((r0 + dr, c0 + dc) for dr in range(3) for dc in range(3))
-        blocks.append(Unit("block", b + 1, cells))
-    return rows, columns, tuple(blocks)
-
-
-ROWS, COLUMNS, BLOCKS = _build_units()
+ROWS = tuple(Unit("row", r, tuple((r, c) for c in range(1, 10))) for r in range(1, 10))
+COLUMNS = tuple(Unit("column", c, tuple((r, c) for r in range(1, 10)))
+                for c in range(1, 10))
+BLOCKS = tuple(Unit("block", b + 1, tuple((b // 3 * 3 + dr, b % 3 * 3 + dc)
+                                          for dr in range(1, 4) for dc in range(1, 4)))
+               for b in range(9))
 ALL_UNITS: tuple[Unit, ...] = ROWS + COLUMNS + BLOCKS
 
+#: Every cell, in slot order: ``ALL_CELLS[i]`` is the label of slot ``i``.
 ALL_CELLS: tuple[Cell, ...] = tuple((r, c) for r in range(1, 10) for c in range(1, 10))
+_SLOT_OF = {cell: i for i, cell in enumerate(ALL_CELLS)}
+_UNIT_SLOTS = tuple(tuple(map(_SLOT_OF.get, unit.cells)) for unit in ALL_UNITS)
 
 
-def _units_by_cell() -> tuple[dict[Cell, tuple[Unit, ...]], dict[Cell, int]]:
-    # Each cell's units in ``ALL_UNITS`` order, and the same units as a
-    # bitmask with bit ``u`` standing for ``ALL_UNITS[u]``.
-    units: dict[Cell, tuple[Unit, ...]] = dict.fromkeys(ALL_CELLS, ())
-    bits = dict.fromkeys(ALL_CELLS, 0)
-    for u, unit in enumerate(ALL_UNITS):
-        for cell in unit.cells:
-            units[cell] += (unit,)
-            bits[cell] |= 1 << u
-    return units, bits
+def _build_tables():
+    # One pass over the units: each cell's units in ``ALL_UNITS`` order and,
+    # per slot, its units as bits (bit ``u`` for ``ALL_UNITS[u]``) and the 20
+    # other slots sharing a unit with it.
+    units_by_cell: dict[Cell, tuple[Unit, ...]] = dict.fromkeys(ALL_CELLS, ())
+    unit_bits = [0] * 81
+    seen = [0] * 81
+    for u, (unit, slots) in enumerate(zip(ALL_UNITS, _UNIT_SLOTS)):
+        members = sum(1 << i for i in slots)
+        for cell, i in zip(unit.cells, slots):
+            units_by_cell[cell] += (unit,)
+            unit_bits[i] |= 1 << u
+            seen[i] |= members
+    return units_by_cell, tuple(unit_bits), tuple(
+        tuple(bit_indices(s & ~(1 << i))) for i, s in enumerate(seen))
 
 
-UNITS_BY_CELL, UNIT_BITS_BY_CELL = _units_by_cell()
-
-#: The 20 other cells sharing a row, column or block with a given cell.
-NEIGHBORS: dict[Cell, frozenset] = {
-    cell: frozenset(c for u in UNITS_BY_CELL[cell] for c in u.cells) - {cell}
-    for cell in ALL_CELLS
-}
+UNITS_BY_CELL, _UNIT_BITS, _NEIGHBOR_SLOTS = _build_tables()
 
 
 @dataclass
@@ -115,10 +110,6 @@ class SudokuGrid:
 
     givens: dict[Cell, int] = field(default_factory=dict)
     candidates: dict[Cell, set[int]] = field(default_factory=dict)
-
-    def copy(self) -> "SudokuGrid":
-        return SudokuGrid(dict(self.givens),
-                          {c: set(v) for c, v in self.candidates.items()})
 
     @property
     def is_complete(self) -> bool:
@@ -145,41 +136,35 @@ def parse_grid(text: str) -> SudokuGrid:
     chars = grid_cells(text)
     if len(chars) != 81:
         raise GridError(f"expected 81 cells, got {len(chars)}")
-    givens: dict[Cell, int] = {}
-    for idx, ch in enumerate(chars):
-        cell = (idx // 9 + 1, idx % 9 + 1)
-        if ch in ".0":
-            continue
-        if ch not in "123456789":
-            raise GridError(f"bad character {ch!r} at cell {cell}")
-        givens[cell] = int(ch)
-    for unit in ALL_UNITS:
-        seen: dict[int, Cell] = {}
-        for cell in unit.cells:
-            digit = givens.get(cell)
-            if digit is None:
-                continue
-            if digit in seen:
+    for i, ch in enumerate(chars):
+        if ch not in ".0123456789":
+            raise GridError(f"bad character {ch!r} at cell {ALL_CELLS[i]}")
+    givens = [0 if ch == "." else int(ch) for ch in chars]
+    for unit, slots in zip(ALL_UNITS, _UNIT_SLOTS):
+        seen = 0
+        for i in slots:
+            bit = 1 << givens[i]
+            if seen & bit & _DIGIT_BITS:
                 raise GridError(
-                    f"duplicate given {digit} in {unit} at cell {cell}")
-            seen[digit] = cell
-    return compute_markups(SudokuGrid(givens, {}))
+                    f"duplicate given {givens[i]} in {unit} at cell {ALL_CELLS[i]}")
+            seen |= bit
+    return compute_markups(_grid(givens, ()))
 
 
 def compute_markups(grid: SudokuGrid) -> SudokuGrid:
     """Rebuild every unpopulated cell's candidates from the givens alone."""
-    candidates: dict[Cell, set[int]] = {}
-    for cell in ALL_CELLS:
-        if cell in grid.givens:
+    givens, masks = _slots(SudokuGrid(grid.givens))
+    for i, digit in enumerate(givens):
+        if digit:
             continue
-        cand = set(DIGITS)
-        for other in NEIGHBORS[cell]:
-            cand.discard(grid.givens.get(other, 0))
-        if not cand:
-            raise Contradiction(f"cell {cell} has no admissible digit",
-                                cells=(cell,))
-        candidates[cell] = cand
-    return SudokuGrid(dict(grid.givens), candidates)
+        mask = _DIGIT_BITS
+        for j in _NEIGHBOR_SLOTS[i]:
+            mask &= ~(1 << givens[j])
+        if not mask:
+            raise Contradiction(f"cell {ALL_CELLS[i]} has no admissible digit",
+                                cells=(ALL_CELLS[i],))
+        masks[i] = mask
+    return _grid(givens, masks)
 
 
 def unit_mapping(grid: SudokuGrid, unit: Unit) -> FiniteMapping:
@@ -203,77 +188,94 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
     :class:`Contradiction` when a unit admits no alldifferent assignment or a
     candidate set runs empty; the input grid is never mutated.
     """
-    givens = dict(grid.givens)
-    masks = _candidate_masks(grid)
+    givens, masks = _slots(grid)
     _propagate_masks(givens, masks, {}, max_sweeps)
-    return SudokuGrid(givens, {cell: set(bit_indices(m)) for cell, m in masks.items()})
+    return _grid(givens, masks)
 
 
-def _candidate_masks(grid: SudokuGrid) -> dict[Cell, int]:
-    return {c: sum(1 << d for d in digits) for c, digits in grid.candidates.items()}
+def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
+    # The grid's givens and candidate masks as 81-slot lists.  An open cell
+    # with no candidate has no mask to hold, so it is the contradiction here.
+    givens = [0] * 81
+    masks = [0] * 81
+    for cell, digit in grid.givens.items():
+        givens[_SLOT_OF[cell]] = digit
+    for cell, digits in grid.candidates.items():
+        masks[_SLOT_OF[cell]] = mask = sum(1 << d for d in digits)
+        if not mask:
+            raise Contradiction(f"cell {cell} has no admissible digit", cells=(cell,))
+    return givens, masks
 
 
-def _propagate_masks(givens: dict, masks: dict, memo: dict,
+def _grid(givens: list, masks) -> SudokuGrid:
+    # The inverse of _slots: a grid with labelled givens and sets of digits.
+    return SudokuGrid(
+        {ALL_CELLS[i]: d for i, d in enumerate(givens) if d},
+        {ALL_CELLS[i]: set(bit_indices(m)) for i, m in enumerate(masks) if m})
+
+
+def _propagate_masks(givens: list, masks: list, memo: dict,
                      max_sweeps: int | None = None) -> None:
-    # propagate() on masks, in place.  ``memo`` maps a unit's tuple of open
+    # propagate() on slots, in place.  ``memo`` maps a unit's tuple of open
     # cell masks to its kernel_bits result; the kernel depends on nothing
     # else, so one memo serves every unit and every branch of one search.
-    # Bit u of ``dirty`` marks ALL_UNITS[u] for a visit.
-    dirty = (1 << len(ALL_UNITS)) - 1
+    # Bit u of ``dirty`` marks unit u for a visit.
+    dirty = (1 << len(_UNIT_SLOTS)) - 1
     sweeps = 0
     while dirty and (max_sweeps is None or sweeps < max_sweeps):
         sweeps += 1
-        for u, unit in enumerate(ALL_UNITS):
+        for u, slots in enumerate(_UNIT_SLOTS):
             bit = 1 << u
             if not dirty & bit:
                 continue
             dirty ^= bit
-            cells = [c for c in unit.cells if c in masks]
-            if not cells:
+            open_slots = [i for i in slots if masks[i]]
+            if not open_slots:
                 continue
-            key = tuple(masks[c] for c in cells)
+            key = tuple(masks[i] for i in open_slots)
             kernel = memo.get(key)
             if kernel is None:
                 if len(memo) >= KERNEL_MEMO_CAP:
                     memo.clear()
                 kernel = memo[key] = kernel_bits(key)
             if isinstance(kernel, int):
+                unit = ALL_UNITS[u]
                 raise Contradiction(
                     f"{unit} admits no alldifferent assignment", unit=unit,
-                    cells=(cells[i] for i in bit_indices(kernel)))
+                    cells=(ALL_CELLS[open_slots[k]] for k in bit_indices(kernel)))
             singles = []
-            for cell, old, new in zip(cells, key, kernel):
+            for i, old, new in zip(open_slots, key, kernel):
                 if new != old:
-                    masks[cell] = new
-                    dirty |= UNIT_BITS_BY_CELL[cell] & ~bit
+                    masks[i] = new
+                    dirty |= _UNIT_BITS[i] & ~bit
                 if new & (new - 1) == 0:
-                    singles.append(cell)
+                    singles.append(i)
             dirty |= _promote(givens, masks, singles)
 
 
-def _promote(givens: dict, masks: dict, cells) -> int:
-    # Turn single-candidate cells into givens, cascading through neighbors;
+def _promote(givens: list, masks: list, slots) -> int:
+    # Turn single-candidate slots into givens, cascading through neighbors;
     # returns the bits of the units that saw a change.
     dirty = 0
-    queue = deque(cells)
+    queue = deque(slots)
     while queue:
-        cell = queue.popleft()
-        mask = masks.pop(cell, 0)
+        i = queue.popleft()
+        mask, masks[i] = masks[i], 0
         if not mask:
             continue
-        givens[cell] = digit = mask.bit_length() - 1
-        dirty |= UNIT_BITS_BY_CELL[cell]
-        for other in NEIGHBORS[cell]:
-            cand = masks.get(other, 0)
+        givens[i] = digit = mask.bit_length() - 1
+        dirty |= _UNIT_BITS[i]
+        for j in _NEIGHBOR_SLOTS[i]:
+            cand = masks[j]
             if not cand >> digit & 1:
                 continue
-            masks[other] = cand = cand & ~(1 << digit)
+            masks[j] = cand = cand & ~(1 << digit)
             if not cand:
                 raise Contradiction(
-                    f"cell {other} has no admissible digit", cells=(other,))
+                    f"cell {ALL_CELLS[j]} has no admissible digit", cells=(ALL_CELLS[j],))
             if cand & (cand - 1) == 0:
-                queue.append(other)
-            dirty |= UNIT_BITS_BY_CELL[other]
+                queue.append(j)
+            dirty |= _UNIT_BITS[j]
     return dirty
 
 
@@ -282,26 +284,30 @@ def solve(grid: SudokuGrid) -> SudokuGrid | None:
 
     Branches on a cell with the fewest candidates (row-major on ties), trying
     digits in ascending order and propagating after each tentative
-    assignment.  The search runs on 9-bit candidate masks and builds the
-    solution grid once, at the end.  Unit kernels are memoised for the
-    duration of one call, at most ``KERNEL_MEMO_CAP`` of them at a time.
+    assignment.  The search runs on cell slots and builds the solution grid
+    once, at the end.  Unit kernels are memoised for the duration of one
+    call, at most ``KERNEL_MEMO_CAP`` of them at a time.
     """
-    givens = _solve_masks(dict(grid.givens), _candidate_masks(grid), {})
-    return None if givens is None else SudokuGrid(givens, {})
+    try:
+        givens = _solve_masks(*_slots(grid), {})
+    except Contradiction:  # from _slots: an open cell without candidates
+        return None
+    return None if givens is None else _grid(givens, ())
 
 
-def _solve_masks(givens: dict, masks: dict, memo: dict) -> dict | None:
-    # solve() on masks: the completed givens, or None.  Each branch works on
+def _solve_masks(givens: list, masks: list, memo: dict) -> list | None:
+    # solve() on slots: the completed givens, or None.  Each branch works on
     # its own copies, since _propagate_masks works in place.
     try:
         _propagate_masks(givens, masks, memo)
     except Contradiction:
         return None
-    if not masks:
+    _, i = min(((m.bit_count(), i) for i, m in enumerate(masks) if m), default=(0, None))
+    if i is None:
         return givens
-    cell = min(masks, key=lambda c: (masks[c].bit_count(), c))
-    for digit in bit_indices(masks[cell]):
-        solution = _solve_masks(dict(givens), masks | {cell: 1 << digit}, memo)
+    for digit in bit_indices(masks[i]):
+        masks[i] = 1 << digit
+        solution = _solve_masks(givens[:], masks[:], memo)
         if solution is not None:
             return solution
     return None
@@ -317,17 +323,10 @@ def is_solved(grid: SudokuGrid) -> bool:
 
 def render(grid: SudokuGrid) -> str:
     """Pretty 9x9 text with block separators; unpopulated cells print ``.``."""
-    lines = []
-    for r in range(1, 10):
-        row = []
-        for c in range(1, 10):
-            row.append(str(grid.givens.get((r, c), ".")))
-            if c in (3, 6):
-                row.append("|")
-        lines.append(" ".join(row))
-        if r in (3, 6):
-            lines.append("------+-------+------")
-    return "\n".join(lines)
+    line = grid_line(grid)
+    rows = [" | ".join(" ".join(line[i:i + 3]) for i in range(r, r + 9, 3))
+            for r in range(0, 81, 9)]
+    return "\n------+-------+------\n".join("\n".join(rows[b:b + 3]) for b in (0, 3, 6))
 
 
 def grid_line(grid: SudokuGrid) -> str:

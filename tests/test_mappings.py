@@ -10,7 +10,6 @@ from hallkernel import (
     image_of_set,
     is_critical,
     is_non_reducible,
-    min_image_size,
     residual,
 )
 from hallkernel.oracle import oracle_hall_check
@@ -121,12 +120,6 @@ class TestPredicates:
         wide = FiniteMapping.from_dict({i: {i} for i in range(25)})
         with pytest.raises(SizeCapError):
             is_non_reducible(wide, range(25))
-
-    def test_min_image_size(self):
-        assert min_image_size(M1) == 2
-        assert min_image_size(FiniteMapping.from_dict({1: (), 2: {1}},
-                                                      y_order=(1,))) == 0
-        assert min_image_size(FiniteMapping.from_dict({i: {i} for i in (1, 2, 3)})) == 1
 
 
 @given(mappings())

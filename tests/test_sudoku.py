@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 
@@ -68,6 +69,25 @@ class TestUnits:
 
     def test_each_cell_lies_in_exactly_three_units(self):
         assert all(len(UNITS_BY_CELL[cell]) == 3 for cell in ALL_CELLS)
+
+
+class TestSlots:
+    def test_unit_slots_spell_out_the_units(self):
+        assert [tuple(ALL_CELLS[i] for i in slots) for slots in sudoku._UNIT_SLOTS] \
+            == [unit.cells for unit in ALL_UNITS]
+
+    def test_neighbor_slots_and_unit_bits_follow_the_units(self):
+        for i, cell in enumerate(ALL_CELLS):
+            units = [u for u, unit in enumerate(ALL_UNITS) if cell in unit.cells]
+            sharing = {c for u in units for c in ALL_UNITS[u].cells} - {cell}
+            # Ascending, which fixes the cell a promotion contradiction names.
+            assert len(sharing) == 20
+            assert [ALL_CELLS[j] for j in sudoku._NEIGHBOR_SLOTS[i]] == sorted(sharing)
+            assert sudoku._UNIT_BITS[i] == sum(1 << u for u in units)
+
+    def test_grid_undoes_slots(self):
+        grid = parse_grid(naked_pair_text())
+        assert sudoku._grid(*sudoku._slots(grid)) == grid
 
 
 class TestParseGrid:
@@ -170,9 +190,19 @@ class TestPropagate:
             propagate(grid)
         assert info.value.cells
 
+    def test_open_cell_without_candidates_is_a_contradiction(self):
+        # A hand-built grid can hold an open cell with no candidate, which
+        # parse_grid never makes; it must not vanish from the grid.
+        grid = parse_grid(naked_pair_text())
+        grid.candidates[(5, 5)] = set()
+        with pytest.raises(Contradiction) as info:
+            propagate(grid)
+        assert (5, 5) in info.value.cells
+        assert solve(grid) is None
+
     def test_input_grid_is_not_mutated(self):
         grid = parse_grid(naked_pair_text())
-        before = grid.copy()
+        before = copy.deepcopy(grid)
         propagate(grid)
         assert grid == before
 
@@ -264,7 +294,7 @@ class TestSolve:
             calls.clear()
             solve(grid)
             counts.append(len(calls))
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] == 783
         # A memo holding one entry at a time still has to recompute repeats.
         monkeypatch.setattr(sudoku, "KERNEL_MEMO_CAP", 1)
         calls.clear()
@@ -275,8 +305,8 @@ class TestSolve:
         monkeypatch.setattr(sudoku, "KERNEL_MEMO_CAP", 8)
         grid = parse_grid(INKALA)
         memo = {}
-        givens = sudoku._solve_masks(dict(grid.givens), sudoku._candidate_masks(grid), memo)
-        assert givens == solve(grid).givens
+        givens = sudoku._solve_masks(*sudoku._slots(grid), memo)
+        assert sudoku._grid(givens, ()) == solve(grid)
         assert 0 < len(memo) <= 8
 
 
