@@ -92,11 +92,22 @@ def _reject_duplicates(tokens: list[str], where: str) -> None:
 
 
 def serialize_mapping_document(mapping: FiniteMapping) -> str:
-    """Write a mapping back out in canonical document form."""
-    for label in (*mapping.x_labels, *mapping.y_labels):
-        token = str(label)
-        if not token or ":" in token or any(ch.isspace() for ch in token):
-            raise DocumentError(f"label {label!r} cannot be written as a token")
+    """Write a mapping back out in canonical document form.
+
+    Refuses, with :class:`DocumentError`, what would not parse back: a label
+    whose ``str`` is empty or holds whitespace, ``:`` or ``#``, and two labels
+    of one ground set with the same ``str``.
+    """
+    for labels in (mapping.x_labels, mapping.y_labels):
+        seen: dict[str, object] = {}
+        for label in labels:
+            token = str(label)
+            if not token or any(ch in ":#" or ch.isspace() for ch in token):
+                raise DocumentError(f"label {label!r} cannot be written as a token")
+            if token in seen:
+                raise DocumentError(
+                    f"labels {seen[token]!r} and {label!r} are both written as {token!r}")
+            seen[token] = label
     lines = ["X: " + " ".join(str(x) for x in mapping.x_labels),
              "Y: " + " ".join(str(y) for y in mapping.y_labels)]
     for x in mapping.x_labels:

@@ -39,7 +39,7 @@ class Selection:
         return self.values[self.x_labels.index(x)]
 
     def items(self):
-        return tuple(zip(self.x_labels, self.values))
+        return tuple(list(zip(self.x_labels, self.values)))
 
     def as_dict(self) -> dict:
         return dict(zip(self.x_labels, self.values))
@@ -100,7 +100,7 @@ def kernel_from_partition(mapping: FiniteMapping,
     images = {x: mapping.image(x) & residual
               for block, residual in zip(partition.blocks, partition.residual_images)
               for x in block}
-    return KernelMapping(mapping, tuple(images[x] for x in mapping.x_labels))
+    return KernelMapping(mapping, tuple([images[x] for x in mapping.x_labels]))
 
 
 def alldifferent_kernel(mapping: FiniteMapping) -> KernelMapping:
@@ -111,10 +111,10 @@ def alldifferent_kernel(mapping: FiniteMapping) -> KernelMapping:
     """
     result = kernel_bits(mapping.image_bits)
     if isinstance(result, int):
-        empty = tuple(frozenset() for _ in mapping.x_labels)
+        empty = tuple([frozenset() for _ in mapping.x_labels])
         witness = HallViolation(frozenset(mapping.x_labels_of(result)))
         return KernelMapping(mapping, empty, witness=witness)
-    return KernelMapping(mapping, tuple(map(frozenset, map(mapping.y_labels_of, result))))
+    return KernelMapping(mapping, tuple([frozenset(mapping.y_labels_of(b)) for b in result]))
 
 
 def is_alldifferent(mapping: FiniteMapping) -> bool:

@@ -154,10 +154,10 @@ class FiniteMapping:
         return bits
 
     def x_labels_of(self, bits: int) -> tuple:
-        return tuple(self.x_labels[i] for i in bit_indices(bits))
+        return tuple([self.x_labels[i] for i in bit_indices(bits)])
 
     def y_labels_of(self, bits: int) -> tuple:
-        return tuple(self.y_labels[j] for j in bit_indices(bits))
+        return tuple([self.y_labels[j] for j in bit_indices(bits)])
 
     def image_bits_of(self, w_bits: int) -> int:
         """Union of the images over the members of a domain bitset."""
@@ -220,7 +220,7 @@ def complement(mapping: FiniteMapping, drop_x: Iterable[Label],
         raise DomainError("cannot drop the entire domain")
     keep_y = [j for j in range(len(mapping.y_labels)) if not (z >> j) & 1]
     new_pos = {j: p for p, j in enumerate(keep_y)}
-    y_labels = tuple(mapping.y_labels[j] for j in keep_y)
+    y_labels = tuple([mapping.y_labels[j] for j in keep_y])
     x_labels = []
     image_bits = []
     for i, x in enumerate(mapping.x_labels):

@@ -25,7 +25,7 @@ def enumerate_selections(mapping: FiniteMapping, *,
     if len(xs) > cap:
         raise SizeCapError(
             f"selection enumeration over {len(xs)} elements exceeds the cap of {cap}")
-    ordered_images = [tuple(y for y in mapping.y_labels if y in mapping.image(x))
+    ordered_images = [tuple([y for y in mapping.y_labels if y in mapping.image(x)])
                       for x in xs]
     found: list[Selection] = []
     picks: list = []
@@ -52,8 +52,8 @@ def oracle_kernel(mapping: FiniteMapping, *,
                   cap: int = SELECTION_CAP) -> KernelMapping:
     """The kernel by definition: collect each element's values over all selections."""
     selections = enumerate_selections(mapping, cap=cap)
-    images = tuple(frozenset(s.values[i] for s in selections)
-                   for i in range(len(mapping.x_labels)))
+    images = tuple([frozenset(s.values[i] for s in selections)
+                    for i in range(len(mapping.x_labels))])
     return KernelMapping(mapping, images)
 
 

@@ -14,6 +14,13 @@ smaller than itself certifies a Hall-condition violation instead; the
 violation is returned as a value, never raised.  The scan runs on bitsets and
 applies the size cap; labels appear only in :func:`compute_hall_partition`
 and :func:`check_hall`.
+
+A step over more than :data:`MATCHING_CUTOFF` positions with no hit of size 1
+is finished from a maximum matching instead (Régin 1994, Dulmage--Mendelsohn
+1958): when the matching covers every position, the remaining blocks, in the
+scan's order, are read off its alternating digraph in polynomial time; when it
+does not, the Hall condition fails and the scan goes on to find its own
+witness.  :func:`hall_scan` gives the argument.
 """
 
 from __future__ import annotations
@@ -33,6 +40,13 @@ from .mappings import (
     is_non_reducible,
     residual,
 )
+
+#: Steps over more positions than this are finished by
+#: :func:`_matching_completion` once the size-1 pass has no hit.  It is the
+#: measured crossover on random one-block mappings (CPython 3.11, Xeon): the
+#: scan took 34 us against the completion's 36 us at 9 positions and 59
+#: against 39 at 10.  Sudoku units, at most 9 cells, stay on the scan.
+MATCHING_CUTOFF = 9
 
 
 class ExitKind(enum.Enum):
@@ -86,12 +100,41 @@ def hall_scan(image_bits, remaining: int, struck: int = 0, *,
     ``prune`` every combination is built in full.  Returns ``(block_bits,
     residual_bits, exit_kind)``, or the witness bitset.  More than
     ``ENUMERATION_CAP`` positions raise :class:`SizeCapError` up front.
+
+    With ``prune``, a step over more than :data:`MATCHING_CUTOFF` positions
+    whose size-1 pass has no hit takes a maximum matching of the residual
+    images instead of going on to size 2.  Call a set S of positions *tight*
+    when its residual image N'(S) has exactly |S| values.  If the matching
+    leaves a position uncovered, the Hall condition fails, here and in every
+    later step (a complete matching of what a tight set leaves, joined with
+    one of the tight set, would be complete), so the scan goes on as above and
+    returns its own (size, lex)-first witness.  If the matching covers every
+    position, all later blocks are read off it, and they are the scan's blocks
+    in the scan's order.  The matching puts |S| values of N'(S) on S, so S is
+    tight exactly when every value of N'(S) is matched into S: S reaches no
+    unmatched value and is closed under successors (p -> q when N'(p) holds
+    the value matched to q).  So the positions that reach an unmatched value
+    along these alternating edges lie in no tight set and form the
+    non-critical last block (none when every value is matched); among the
+    others the tight sets are the successor-closed unions of strongly
+    connected components (SCCs), and the minimal ones are the sink SCCs.
+    Tight sets are closed under union and intersection, so distinct minimal
+    ones are disjoint.  The scan's (size, lex)-first hit is a minimal tight
+    set of least size, and lex order on disjoint sets of one size compares
+    their least members, so the hit is the smallest sink SCC, ties going to
+    the least position.  Taking a sink SCC S out strikes exactly the values
+    matched into S; the rest keeps its matching, its unmatched values and its
+    SCCs, since no edge leaves S.  So each next block is the smallest SCC all
+    of whose successors are taken, ties again going to the least position:
+    the smallest closure, within what remains, of a remaining position, which
+    is how :func:`_matching_completion` finds it.
     """
     n = remaining.bit_count()
     if n > ENUMERATION_CAP:
         raise SizeCapError(
             f"partition scan over {n} elements exceeds the cap of {ENUMERATION_CAP}")
     first_fit = _first_fit_pruned if prune else _first_fit
+    matching = prune
     start_remaining = remaining
     block_bits: list[int] = []
     residual_bits: list[int] = []
@@ -102,6 +145,12 @@ def hall_scan(image_bits, remaining: int, struck: int = 0, *,
             hit = first_fit(res, size)
             if hit is not None:
                 break
+            if size == 1 and matching and len(indices) > MATCHING_CUTOFF:
+                rest = _matching_completion(indices, res)
+                if rest is not None:
+                    return (tuple(block_bits + rest[0]),
+                            tuple(residual_bits + rest[1]), rest[2])
+                matching = False
         else:
             # No critical set among what remains: it all becomes the last block.
             img = 0
@@ -125,6 +174,102 @@ def hall_scan(image_bits, remaining: int, struck: int = 0, *,
             exit_kind = ExitKind.LAST_BLOCK_CRITICAL
             break
     return tuple(block_bits), tuple(residual_bits), exit_kind
+
+
+def _matching_completion(indices, res):
+    # The blocks left in a step, as ``(block_bits, residual_bits, exit_kind)``
+    # over the domain positions ``indices``, from a maximum matching of their
+    # residual images ``res``; ``None`` when it leaves a position uncovered.
+    # Local position k stands for ``indices[k]``; hall_scan's docstring gives
+    # the argument.
+    n = len(res)
+    match = [0] * n
+    owner: dict[int, int] = {}
+    matched = 0
+    for k in range(n):
+        v = res[k] & ~matched
+        if not v:
+            # Breadth first along alternating paths to an unmatched value,
+            # then shift each value on the path back one position.
+            via = {}
+            seen = 0
+            layer = [k]
+            while layer and not v:
+                following = []
+                for p in layer:
+                    new = res[p] & ~seen
+                    seen |= new
+                    v = new & ~matched
+                    if v:
+                        v &= -v
+                        via[v] = p
+                        break
+                    while new:
+                        u = new & -new
+                        new ^= u
+                        via[u] = p
+                        following.append(owner[u])
+                layer = following
+            if not v:
+                return None
+            matched |= v
+            p = via[v]
+            while p != k:
+                match[p], v = v, match[p]
+                owner[match[p]] = p
+                p = via[v]
+        v &= -v
+        match[k] = v
+        owner[v] = k
+        matched |= v
+    # Positions reaching an unmatched value; ``left`` keeps the others.
+    reach = 0
+    for b in res:
+        reach |= b
+    reach &= ~matched
+    left = (1 << n) - 1
+    grown = bool(reach)
+    while grown:
+        grown = False
+        for k in bit_indices(left):
+            if res[k] & reach:
+                left ^= 1 << k
+                reach |= match[k]
+                grown = True
+    # ``closure[k]``: the values matched into the positions k reaches, its own
+    # included (Warshall on bitsets); ``live`` holds those of ``left``.
+    closure = [res[k] if left >> k & 1 else 0 for k in range(n)]
+    live = 0
+    for k in bit_indices(left):
+        bit = match[k]
+        live |= bit
+        ck = closure[k]
+        closure = [c | ck if c & bit else c for c in closure]
+    last = ((1 << n) - 1) & ~left
+    blocks: list[int] = []
+    residuals: list[int] = []
+    while left:
+        # The smallest closure is a sink SCC, and its least position comes first.
+        _, k = min(((closure[k] & live).bit_count(), k) for k in bit_indices(left))
+        img = closure[k] & live
+        live &= ~img
+        wbits = 0
+        for q in bit_indices(left):
+            if match[q] & img:
+                left ^= 1 << q
+                wbits |= 1 << indices[q]
+        blocks.append(wbits)
+        residuals.append(img)
+    if not last:
+        return blocks, residuals, ExitKind.LAST_BLOCK_CRITICAL
+    wbits = 0
+    for k in bit_indices(last):
+        wbits |= 1 << indices[k]
+    # Every unmatched value lies in the image of a position of ``last``, so
+    # ``reach`` is that image less the values matched into the other blocks.
+    blocks.append(wbits)
+    residuals.append(reach)
+    return blocks, residuals, ExitKind.LAST_BLOCK_NONCRITICAL
 
 
 def _first_fit(res, size):
@@ -178,8 +323,8 @@ def compute_hall_partition(mapping: FiniteMapping) -> HallPartition | HallViolat
         return HallViolation(frozenset(mapping.x_labels_of(result)))
     block_bits, residual_bits, exit_kind = result
     return HallPartition(
-        blocks=tuple(frozenset(mapping.x_labels_of(b)) for b in block_bits),
-        residual_images=tuple(frozenset(mapping.y_labels_of(r)) for r in residual_bits),
+        blocks=tuple([frozenset(mapping.x_labels_of(b)) for b in block_bits]),
+        residual_images=tuple([frozenset(mapping.y_labels_of(r)) for r in residual_bits]),
         exit_kind=exit_kind,
     )
 

@@ -65,18 +65,18 @@ class Unit:
         return f"{self.kind} {self.index}"
 
 
-ROWS = tuple(Unit("row", r, tuple((r, c) for c in range(1, 10))) for r in range(1, 10))
-COLUMNS = tuple(Unit("column", c, tuple((r, c) for r in range(1, 10)))
-                for c in range(1, 10))
-BLOCKS = tuple(Unit("block", b + 1, tuple((b // 3 * 3 + dr, b % 3 * 3 + dc)
-                                          for dr in range(1, 4) for dc in range(1, 4)))
-               for b in range(9))
+ROWS = tuple([Unit("row", r, tuple([(r, c) for c in range(1, 10)])) for r in range(1, 10)])
+COLUMNS = tuple([Unit("column", c, tuple([(r, c) for r in range(1, 10)]))
+                 for c in range(1, 10)])
+BLOCKS = tuple([Unit("block", b + 1, tuple([(b // 3 * 3 + dr, b % 3 * 3 + dc)
+                                            for dr in range(1, 4) for dc in range(1, 4)]))
+                for b in range(9)])
 ALL_UNITS: tuple[Unit, ...] = ROWS + COLUMNS + BLOCKS
 
 #: Every cell, in slot order: ``ALL_CELLS[i]`` is the label of slot ``i``.
-ALL_CELLS: tuple[Cell, ...] = tuple((r, c) for r in range(1, 10) for c in range(1, 10))
+ALL_CELLS: tuple[Cell, ...] = tuple([(r, c) for r in range(1, 10) for c in range(1, 10)])
 _SLOT_OF = {cell: i for i, cell in enumerate(ALL_CELLS)}
-_UNIT_SLOTS = tuple(tuple(map(_SLOT_OF.get, unit.cells)) for unit in ALL_UNITS)
+_UNIT_SLOTS = tuple([tuple([_SLOT_OF[cell] for cell in unit.cells]) for unit in ALL_UNITS])
 
 
 def _build_tables():
@@ -93,7 +93,7 @@ def _build_tables():
             unit_bits[i] |= 1 << u
             seen[i] |= members
     return units_by_cell, tuple(unit_bits), tuple(
-        tuple(bit_indices(s & ~(1 << i))) for i, s in enumerate(seen))
+        [tuple(bit_indices(s & ~(1 << i))) for i, s in enumerate(seen)])
 
 
 UNITS_BY_CELL, _UNIT_BITS, _NEIGHBOR_SLOTS = _build_tables()
@@ -232,7 +232,7 @@ def _propagate_masks(givens: list, masks: list, memo: dict,
             open_slots = [i for i in slots if masks[i]]
             if not open_slots:
                 continue
-            key = tuple(masks[i] for i in open_slots)
+            key = tuple([masks[i] for i in open_slots])
             kernel = memo.get(key)
             if kernel is None:
                 if len(memo) >= KERNEL_MEMO_CAP:

@@ -116,8 +116,18 @@ class TestMappingDocuments:
             parse_mapping_document(text)
 
     def test_unserializable_label(self):
-        with pytest.raises(DocumentError):
-            serialize_mapping_document(FiniteMapping.from_dict({"a b": {1}}))
+        # Whitespace, a comment mark, and two labels with one ``str``.
+        for mapping in (FiniteMapping.from_dict({"a b": {1}}),
+                        FiniteMapping.from_dict({"a#b": {1}}),
+                        FiniteMapping.from_dict({"a": {"p#q"}}),
+                        FiniteMapping.from_dict({1: {1}, "1": {2}}),
+                        FiniteMapping.from_dict({"a": {1, "1"}}, y_order=(1, "1"))):
+            with pytest.raises(DocumentError):
+                serialize_mapping_document(mapping)
+
+    def test_labels_may_share_a_token_across_ground_sets(self):
+        mapping = FiniteMapping.from_dict({"1": {"1"}})
+        assert parse_mapping_document(serialize_mapping_document(mapping)) == mapping
 
 
 class TestMappingCommands:

@@ -11,11 +11,27 @@ def test_every_exported_name_resolves():
     assert [name for name in hallkernel.__all__ if not hasattr(hallkernel, name)] == []
 
 
+def package_nodes():
+    """Every AST node of the package source, with the name of its file."""
+    root = Path(hallkernel.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
 def test_no_assert_statements_in_package():
     # ``python -O`` strips asserts; invariants must raise to keep holding there.
-    root = Path(hallkernel.__file__).parent
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(root.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_tuple_built_from_a_generator_expression():
+    # ``tuple(<genexpr>)`` allocates ten slots and resizes, which fills
+    # CPython's per-size tuple free lists as calls pile up; ``tuple([...])``
+    # allocates the final size once.
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "tuple" and node.args
+             and isinstance(node.args[0], ast.GeneratorExp)]
     assert found == []

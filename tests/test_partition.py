@@ -1,4 +1,6 @@
+import io
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +12,20 @@ from hallkernel import (
     HallPartition,
     HallViolation,
     SizeCapError,
+    alldifferent_kernel,
     check_hall,
     compute_hall_partition,
+    extract_selection,
     image_of_set,
     is_critical,
     partitions_equal_up_to_renumbering,
     verify_partition,
 )
+from hallkernel import partition, sudoku
+from hallkernel.cli import main
 from hallkernel.partition import hall_scan
 
-from conftest import all_mappings_3x3, mappings, random_mapping, relabelled
+from conftest import INKALA, all_mappings_3x3, mappings, random_mapping, relabelled
 
 M1 = FiniteMapping.from_dict({1: {1, 2}, 2: {1, 2}, 3: {1, 2, 3}})
 PERM4 = FiniteMapping.from_dict({i: {i} for i in (1, 2, 3, 4)})
@@ -107,6 +113,199 @@ def scan_arguments(draw):
 @settings(max_examples=300)
 def test_cut_agrees_with_plain_enumeration(arguments):
     assert_cut_agrees(*arguments)
+
+
+@contextmanager
+def completion_everywhere():
+    """Send every step without a size-1 hit to the matching completion.
+
+    Yields ``{"calls": ..., "uncovered": ...}``, counting the completions and
+    those whose matching left a position uncovered.
+    """
+    counts = {"calls": 0, "uncovered": 0}
+    complete = partition._matching_completion
+
+    def counted(indices, res):
+        result = complete(indices, res)
+        counts["calls"] += 1
+        counts["uncovered"] += result is None
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "MATCHING_CUTOFF", 0)
+        mp.setattr(partition, "_matching_completion", counted)
+        yield counts
+
+
+def path_bits(n):
+    return [0b11 << i for i in range(n)]
+
+
+def cycle_bits(n):
+    return [1 << i | 1 << (i + 1) % n for i in range(n)]
+
+
+def triangular_bits(n):
+    return [(1 << (i + 1)) - 1 for i in range(n)]
+
+
+def block_dag_bits(rng, n):
+    """Blocks with a perfect matching inside, some seeing values of earlier blocks.
+
+    Every position keeps its own diagonal value, so the Hall condition holds;
+    a few positions get a value of their own beyond the diagonal, which makes
+    whatever reaches them non-critical.  Positions come out shuffled.
+    """
+    bits = []
+    start = 0
+    spare = n
+    while start < n:
+        size = min(rng.randint(1, 4), n - start)
+        for i in range(size):
+            b = 1 << (start + i)
+            for j in range(start, start + size):
+                if rng.random() < 0.6:
+                    b |= 1 << j
+            for j in range(start):
+                if rng.random() < 0.15:
+                    b |= 1 << j
+            if rng.random() < 0.05:
+                b |= 1 << spare
+                spare += 1
+            bits.append(b)
+        start += size
+    rng.shuffle(bits)
+    return bits
+
+
+def dense_bits(rng, n):
+    density = rng.uniform(0.5, 0.9)
+    return [sum(1 << y for y in range(n + rng.randint(0, 2)) if rng.random() < density)
+            for _ in range(n)]
+
+
+def violating_bits(rng, n):
+    """A block DAG over ``n - 3`` positions plus three positions on two fresh values.
+
+    Some of the other positions see the fresh values too.
+    """
+    fresh = (0b01 << 2 * n, 0b10 << 2 * n)
+    bits = [b | (rng.choice(fresh) if rng.random() < 0.2 else 0)
+            for b in block_dag_bits(rng, n - 3)]
+    bits += [fresh[0] | fresh[1]] * 3
+    rng.shuffle(bits)
+    return bits
+
+
+class TestMatchingCompletion:
+    """The completion gives exactly what plain enumeration gives."""
+
+    def test_all_3x3_mappings(self):
+        rng = random.Random(512)
+        with completion_everywhere() as counts:
+            for f in all_mappings_3x3():
+                assert_cut_agrees(f.image_bits, f.full_x_bits)
+                for _ in range(2):
+                    assert_cut_agrees(f.image_bits, *random_masks(rng, 3, 3))
+        assert counts["calls"] > 200 and counts["uncovered"] > 0
+
+    def test_hall_satisfying_families(self):
+        rng = random.Random(14)
+        with completion_everywhere() as counts:
+            for n in range(1, 15):
+                shuffled = rng.sample(triangular_bits(n), n)
+                corpus = [path_bits(n), cycle_bits(n), triangular_bits(n), shuffled,
+                          *(block_dag_bits(rng, n) for _ in range(6))]
+                for bits in corpus:
+                    assert not isinstance(hall_scan(bits, (1 << n) - 1), int)
+                # Dense images mostly, not always, satisfy the Hall condition.
+                for bits in corpus + [dense_bits(rng, n) for _ in range(4)]:
+                    assert_cut_agrees(bits, (1 << n) - 1)
+                    assert_cut_agrees(bits, *random_masks(rng, n, 2 * n + 2))
+        assert counts["calls"] > 250
+
+    def test_violating_mappings(self):
+        rng = random.Random(15)
+        with completion_everywhere() as counts:
+            for n in range(4, 15):
+                for _ in range(4):
+                    bits = violating_bits(rng, n)
+                    assert isinstance(hall_scan(bits, (1 << n) - 1), int)
+                    assert_cut_agrees(bits, (1 << n) - 1)
+                    assert_cut_agrees(bits, *random_masks(rng, n, 2 * n + 2))
+                sparse = [sum(1 << y for y in range(n) if rng.random() < 0.2)
+                          for _ in range(n)]
+                assert_cut_agrees(sparse, (1 << n) - 1)
+        assert counts["uncovered"] > 40
+
+    def test_size_one_hits_stay_on_the_scan(self):
+        with completion_everywhere() as counts:
+            assert_cut_agrees(triangular_bits(14), (1 << 14) - 1)
+        assert counts["calls"] == 0
+
+    def test_one_uncovered_matching_per_scan(self):
+        # A tight set taken out of a mapping without a complete matching
+        # leaves one without, so the scan does not match again.
+        bits = [0b11, 0b11, *(0b11100 for _ in range(4))]
+        with completion_everywhere() as counts:
+            assert hall_scan(bits, 0b111111) == 0b111111
+        assert counts == {"calls": 1, "uncovered": 1}
+
+
+@given(st.lists(st.integers(0, 1023), min_size=1, max_size=10),
+       st.integers(0, 1023), st.data())
+@settings(max_examples=300)
+def test_completion_agrees_with_plain_enumeration(bits, struck, data):
+    remaining = data.draw(st.integers(1, (1 << len(bits)) - 1))
+    with completion_everywhere():
+        assert_cut_agrees(bits, remaining, struck)
+
+
+class TestWhenTheCompletionRuns:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        complete = partition._matching_completion
+        monkeypatch.setattr(partition, "_matching_completion",
+                            lambda indices, res: calls.append(len(indices))
+                            or complete(indices, res))
+        return calls
+
+    def test_only_over_nine_positions(self, calls):
+        compute_hall_partition(FiniteMapping.from_dict(
+            {i: {i, i + 1} for i in range(9)}))
+        assert calls == []
+        compute_hall_partition(FiniteMapping.from_dict(
+            {i: {i, i + 1} for i in range(10)}))
+        assert calls == [10]
+
+    def test_never_in_sudoku(self, calls, monkeypatch):
+        kernel_calls = []
+        kernel_bits = sudoku.kernel_bits
+        monkeypatch.setattr(sudoku, "kernel_bits",
+                            lambda bits: kernel_calls.append(bits) or kernel_bits(bits))
+        sudoku.solve(sudoku.parse_grid(INKALA))
+        assert len(kernel_calls) == 783
+        assert calls == []
+
+    def test_path_at_the_cap(self, calls, capsys, monkeypatch):
+        n = partition.ENUMERATION_CAP
+        f = FiniteMapping.from_dict({i: {i, i + 1} for i in range(1, n + 1)})
+        got = compute_hall_partition(f)
+        assert got == HallPartition((frozenset(range(1, n + 1)),),
+                                    (frozenset(range(1, n + 2)),),
+                                    ExitKind.LAST_BLOCK_NONCRITICAL)
+        assert alldifferent_kernel(f).images == tuple(
+            frozenset({i, i + 1}) for i in range(1, n + 1))
+        assert extract_selection(f).values == tuple(range(1, n + 1))
+        assert calls[0] == n
+        text = "".join(f"{i} : {i} {i + 1}\n" for i in range(1, n + 1))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["partition"]) == 0
+        block = ", ".join(map(str, range(1, n + 1)))
+        assert capsys.readouterr().out == (
+            f"block 1: {{{block}}} -> {{{block}, {n + 1}}}\n"
+            "exit: LastBlockNonCritical\n")
 
 
 class TestCheckHall:
