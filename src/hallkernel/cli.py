@@ -137,10 +137,11 @@ def _violation(mapping: FiniteMapping, violation: HallViolation, payload: dict):
 
 
 def _read_input(args) -> str:
+    # A UTF-8 byte-order mark is not part of the text, in a file or on stdin.
     if args.input is not None:
-        with open(args.input, encoding="utf-8") as handle:
+        with open(args.input, encoding="utf-8-sig") as handle:
             return handle.read()
-    return sys.stdin.read()
+    return sys.stdin.read().removeprefix("\ufeff")
 
 
 # -- mapping subcommands ----------------------------------------------------

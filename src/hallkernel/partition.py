@@ -15,6 +15,15 @@ violation is returned as a value, never raised.  The scan runs on bitsets and
 applies the size cap; labels appear only in :func:`compute_hall_partition`
 and :func:`check_hall`.
 
+A step with no hit of size 1 first counts, in one pass over its residual
+images, how many values each image has and how many images hold each value.
+A size s holds no hit when fewer than s images have at most s values, or
+when, three or fewer images left out, fewer than u - s of the u values in the
+union are held by at most m - s of the m images: the preemptive sets of Crook
+2009 read from both sides, a naked set of s cells against a hidden set of
+u - s digits.  Such sizes are skipped, and the whole step is a hit exactly
+when u <= m.  :func:`hall_scan` gives the proof.
+
 A step over more than :data:`MATCHING_CUTOFF` positions with no hit of size 1
 is finished from a maximum matching instead (Régin 1994, Dulmage--Mendelsohn
 1958): when the matching covers every position, the remaining blocks, in the
@@ -101,6 +110,21 @@ def hall_scan(image_bits, remaining: int, struck: int = 0, *,
     residual_bits, exit_kind)``, or the witness bitset.  More than
     ``ENUMERATION_CAP`` positions raise :class:`SizeCapError` up front.
 
+    With ``prune``, a step over m positions whose size-1 pass has no hit
+    makes one pass over the residual images for their value counts, their
+    union U of u values, and bit-sliced sets of the values held by at least
+    2, 3 and 4 positions.  It then skips each size s in 2..m-1 where fewer
+    than s positions have at most s values, or where m - s <= 3 and fewer
+    than u - s values are held by at most m - s positions, and takes the
+    whole step as the hit of size m exactly when u <= m.  A skipped size
+    holds no hit: take a hit S, |S| = s and |N'(S)| <= s.  Every position of
+    S has at most s values, so at least s positions do.  T = U less N'(S) has
+    at least u - s values, and no position of S holds any of them, so each is
+    held by at most m - s positions.  Both counts hold at s, so s is not
+    skipped.  Sizes are still tried in increasing order and each walked size
+    by the same walk, so the (size, lex)-first hit, witness included, is the
+    one the plain enumeration finds.
+
     With ``prune``, a step over more than :data:`MATCHING_CUTOFF` positions
     whose size-1 pass has no hit takes a maximum matching of the residual
     images instead of going on to size 2.  Call a set S of positions *tight*
@@ -141,17 +165,22 @@ def hall_scan(image_bits, remaining: int, struck: int = 0, *,
     while True:
         indices = list(bit_indices(remaining))
         res = [image_bits[i] & ~struck for i in indices]
-        for size in range(1, len(indices) + 1):
-            hit = first_fit(res, size)
-            if hit is not None:
-                break
-            if size == 1 and matching and len(indices) > MATCHING_CUTOFF:
+        hit = first_fit(res, 1)
+        if hit is None:
+            if matching and len(res) > MATCHING_CUTOFF:
                 rest = _matching_completion(indices, res)
                 if rest is not None:
                     return (tuple(block_bits + rest[0]),
                             tuple(residual_bits + rest[1]), rest[2])
                 matching = False
-        else:
+            if prune:
+                hit = _first_fit_counted(res)
+            else:
+                for size in range(2, len(res) + 1):
+                    hit = _first_fit(res, size)
+                    if hit is not None:
+                        break
+        if hit is None:
             # No critical set among what remains: it all becomes the last block.
             img = 0
             for b in res:
@@ -270,6 +299,35 @@ def _matching_completion(indices, res):
     blocks.append(wbits)
     residuals.append(reach)
     return blocks, residuals, ExitKind.LAST_BLOCK_NONCRITICAL
+
+
+def _first_fit_counted(res):
+    # The (size, lex)-first hit of size 2 or more, as ``(combo, union)``;
+    # ``None`` if none.  Sizes the two counts of hall_scan's docstring rule
+    # out are skipped, and the last size is read off the union.  ``held<j>``
+    # holds the values held by at least j positions, bit-sliced, and
+    # ``few[k]`` counts the values held by at most k.
+    m = len(res)
+    counts = sorted([b.bit_count() for b in res])
+    union = held2 = held3 = held4 = 0
+    for b in res:
+        held4 |= held3 & b
+        held3 |= held2 & b
+        held2 |= union & b
+        union |= b
+    u = union.bit_count()
+    few = (0, (union & ~held2).bit_count(), (union & ~held3).bit_count(),
+           (union & ~held4).bit_count())
+    for size in range(2, m):
+        if counts[size - 1] > size:
+            continue
+        rest = m - size
+        if rest <= 3 and few[rest] < u - size:
+            continue
+        hit = _first_fit_pruned(res, size)
+        if hit is not None:
+            return hit
+    return (tuple(range(m)), union) if u <= m else None
 
 
 def _first_fit(res, size):

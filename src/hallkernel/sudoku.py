@@ -12,7 +12,8 @@ are slots 0..80 in row-major order: markup, propagation and search keep a
 digit and a 9-bit candidate mask (bit ``d`` for digit ``d``) per slot in two
 81-int lists, 0 meaning none, and ``(row, column)`` labels and sets of digits
 exist only at the public boundary.  :func:`solve` memoises unit kernels by
-their tuple of masks for one call, up to ``KERNEL_MEMO_CAP`` entries.
+their tuple of masks for one call, up to ``KERNEL_MEMO_CAP`` entries, and
+re-propagates a search branch from the branched cell's three units only.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ def _build_tables():
 
 
 UNITS_BY_CELL, _UNIT_BITS, _NEIGHBOR_SLOTS = _build_tables()
+_ALL_UNIT_BITS = (1 << len(ALL_UNITS)) - 1
 
 
 @dataclass
@@ -215,12 +217,12 @@ def _grid(givens: list, masks) -> SudokuGrid:
 
 
 def _propagate_masks(givens: list, masks: list, memo: dict,
-                     max_sweeps: int | None = None) -> None:
+                     max_sweeps: int | None = None, dirty: int = _ALL_UNIT_BITS) -> None:
     # propagate() on slots, in place.  ``memo`` maps a unit's tuple of open
     # cell masks to its kernel_bits result; the kernel depends on nothing
     # else, so one memo serves every unit and every branch of one search.
-    # Bit u of ``dirty`` marks unit u for a visit.
-    dirty = (1 << len(_UNIT_SLOTS)) - 1
+    # Bit u of ``dirty`` marks unit u for a visit; a unit left out must
+    # already be at the fixpoint (visited since it last changed).
     sweeps = 0
     while dirty and (max_sweeps is None or sweeps < max_sweeps):
         sweeps += 1
@@ -295,11 +297,15 @@ def solve(grid: SudokuGrid) -> SudokuGrid | None:
     return None if givens is None else _grid(givens, ())
 
 
-def _solve_masks(givens: list, masks: list, memo: dict) -> list | None:
+def _solve_masks(givens: list, masks: list, memo: dict,
+                 dirty: int = _ALL_UNIT_BITS) -> list | None:
     # solve() on slots: the completed givens, or None.  Each branch works on
-    # its own copies, since _propagate_masks works in place.
+    # its own copies, since _propagate_masks works in place.  The parent's
+    # propagation ended with no unit dirty, so a branch re-propagates from
+    # the branched cell's units only: every other unit is still at the
+    # fixpoint, and the filters reach the same fixpoint or contradiction.
     try:
-        _propagate_masks(givens, masks, memo)
+        _propagate_masks(givens, masks, memo, dirty=dirty)
     except Contradiction:
         return None
     _, i = min(((m.bit_count(), i) for i, m in enumerate(masks) if m), default=(0, None))
@@ -307,7 +313,7 @@ def _solve_masks(givens: list, masks: list, memo: dict) -> list | None:
         return givens
     for digit in bit_indices(masks[i]):
         masks[i] = 1 << digit
-        solution = _solve_masks(givens[:], masks[:], memo)
+        solution = _solve_masks(givens[:], masks[:], memo, _UNIT_BITS[i])
         if solution is not None:
             return solution
     return None

@@ -370,6 +370,24 @@ class TestSudokuCommands:
         assert cli("-O") == (code, out)
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark before the input is read as no text at all."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["kernel"], M1_TEXT),
+        (["sudoku", "solve", "--format", "json"],
+         "\n".join([blanked(canonical_grid_text(), [(1, 1), (5, 5)]), INKALA]) + "\n"),
+    ])
+    def test_file_and_stdin(self, argv, text, capsys, tmp_path, monkeypatch):
+        expected = run(capsys, argv + ["--input", write(tmp_path, "plain.txt", text)])
+        assert expected[0] == 0 and not expected[2]
+        path = tmp_path / "bom.txt"
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run(capsys, argv + ["--input", str(path)]) == expected
+        assert run(capsys, argv, stdin="\ufeff" + text, monkeypatch=monkeypatch) == expected
+
+
 def _mapping_documents():
     # Every 3x3 mapping with and without its X:/Y: headers, 300 seeded random
     # mappings up to 7x7, and every document test_bad_documents rejects.

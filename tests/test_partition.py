@@ -1,5 +1,6 @@
 import io
 import random
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -178,6 +179,72 @@ def block_dag_bits(rng, n):
     return bits
 
 
+def unit_like_bits(rng, m):
+    """``m`` images of 2 to 5 values each over ``m`` to ``m + 3`` values."""
+    width = m + rng.randint(0, 3)
+    return [sum(1 << y for y in rng.sample(range(width), rng.randint(2, min(5, width))))
+            for _ in range(m)]
+
+
+def ruled_out(res, size):
+    """Which count shows that no ``size`` of the images are tight, if one does.
+
+    ``"positions"``: fewer than ``size`` images have at most ``size`` values.
+    ``"values"``: at most three images are left out, and fewer than
+    ``u - size`` of the ``u`` values are held by no more images than that.
+    """
+    if sum(b.bit_count() <= size for b in res) < size:
+        return "positions"
+    union = 0
+    for b in res:
+        union |= b
+    rest = len(res) - size
+    holders = [sum(b >> y & 1 for b in res) for y in range(union.bit_length())
+               if union >> y & 1]
+    if rest <= 3 and sum(h <= rest for h in holders) < len(holders) - size:
+        return "values"
+    return None
+
+
+class TestCountedSizes:
+    """The pruned scan walks no size the counts rule out, and those sizes hold no hit."""
+
+    def test_unit_like_steps(self, monkeypatch):
+        walked = []
+        fit = partition._first_fit_pruned
+        monkeypatch.setattr(partition, "_first_fit_pruned",
+                            lambda res, size: walked.append((res, size)) or fit(res, size))
+        rng = random.Random(13)
+        for m in range(2, 10):
+            for _ in range(150):
+                bits = unit_like_bits(rng, m)
+                assert_cut_agrees(bits, (1 << m) - 1)
+                assert_cut_agrees(bits, *random_masks(rng, m, m + 3))
+        skipped = Counter()
+        for res, size in walked:
+            if size == 1:
+                # A step begins here: whatever the counts rule out holds no hit.
+                for s in range(2, len(res)):
+                    reason = ruled_out(res, s)
+                    skipped[reason] += 1
+                    if reason:
+                        assert partition._first_fit(res, s) is None
+            else:
+                # The last size is read off the union, and no ruled-out size is walked.
+                assert size < len(res) and ruled_out(res, size) is None
+        assert skipped["positions"] > 500 and skipped["values"] > 500
+        assert skipped[None] > 2000
+
+    def test_counted_walks_on_inkala(self, monkeypatch):
+        # 4,532 walks without the counts.
+        calls = []
+        fit = partition._first_fit_pruned
+        monkeypatch.setattr(partition, "_first_fit_pruned",
+                            lambda res, size: calls.append(size) or fit(res, size))
+        sudoku.solve(sudoku.parse_grid(INKALA))
+        assert len(calls) == 2112
+
+
 def dense_bits(rng, n):
     density = rng.uniform(0.5, 0.9)
     return [sum(1 << y for y in range(n + rng.randint(0, 2)) if rng.random() < density)
@@ -285,7 +352,7 @@ class TestWhenTheCompletionRuns:
         monkeypatch.setattr(sudoku, "kernel_bits",
                             lambda bits: kernel_calls.append(bits) or kernel_bits(bits))
         sudoku.solve(sudoku.parse_grid(INKALA))
-        assert len(kernel_calls) == 783
+        assert len(kernel_calls) == 779
         assert calls == []
 
     def test_path_at_the_cap(self, calls, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -294,7 +295,7 @@ class TestSolve:
             calls.clear()
             solve(grid)
             counts.append(len(calls))
-        assert counts[0] == counts[1] == 783
+        assert counts[0] == counts[1] == 779
         # A memo holding one entry at a time still has to recompute repeats.
         monkeypatch.setattr(sudoku, "KERNEL_MEMO_CAP", 1)
         calls.clear()
@@ -308,6 +309,61 @@ class TestSolve:
         givens = sudoku._solve_masks(*sudoku._slots(grid), memo)
         assert sudoku._grid(givens, ()) == solve(grid)
         assert 0 < len(memo) <= 8
+
+
+class TestBranchPropagation:
+    """A branch re-propagated from its cell's units ends as a full re-propagation does."""
+
+    @staticmethod
+    def _propagated(givens, masks, dirty):
+        try:
+            sudoku._propagate_masks(givens, masks, {}, dirty=dirty)
+        except Contradiction as exc:
+            return str(exc)
+        return givens, masks
+
+    def _branches(self, givens, masks, outcomes, budget):
+        # Every branch of the search below a propagated node, depth first,
+        # each propagated from its cell's units and from all 27.
+        open_slots = [i for i, m in enumerate(masks) if m]
+        if not open_slots:
+            return
+        fewest = min(open_slots, key=lambda i: (masks[i].bit_count(), i))
+        for digit in sudoku.bit_indices(masks[fewest]):
+            if sum(outcomes.values()) >= budget:
+                return
+            results = []
+            for dirty in (sudoku._UNIT_BITS[fewest], sudoku._ALL_UNIT_BITS):
+                branch = masks[:]
+                branch[fewest] = 1 << digit
+                results.append(self._propagated(givens[:], branch, dirty))
+            assert results[0] == results[1]
+            outcomes[isinstance(results[0], str)] += 1
+            if not isinstance(results[0], str):
+                self._branches(*results[0], outcomes, budget)
+
+    def test_cell_units_suffice(self):
+        # Inkala's grid, the empty grid, blankings of a solved grid, and
+        # blankings with two random extra givens, which often leave no
+        # completion; at most 150 branches a grid.
+        rng = random.Random(1472)
+        text = canonical_grid_text()
+        texts = [INKALA, "." * 81]
+        texts += [blanked(text, rng.sample(ALL_CELLS, rng.randint(50, 70))) for _ in range(20)]
+        for _ in range(40):
+            chars = list(blanked(text, rng.sample(ALL_CELLS, rng.randint(40, 60))))
+            for i in rng.sample([i for i, ch in enumerate(chars) if ch == "."], 2):
+                chars[i] = str(rng.randint(1, 9))
+            texts.append("".join(chars))
+        outcomes = Counter()
+        for t in texts:
+            try:
+                givens, masks = sudoku._slots(parse_grid(t))
+                sudoku._propagate_masks(givens, masks, {})
+            except (GridError, Contradiction):
+                continue
+            self._branches(givens, masks, outcomes, sum(outcomes.values()) + 150)
+        assert outcomes[True] > 60 and outcomes[False] > 2000
 
 
 class TestRendering:
