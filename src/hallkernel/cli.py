@@ -4,8 +4,8 @@ Subcommands: ``check``, ``partition``, ``kernel``, ``select``, ``enumerate``
 over mapping documents, and ``sudoku propagate`` / ``sudoku solve`` over
 81-character grid lines.  Exit codes: 0 success, 1 Hall violation /
 contradiction / unsolvable (with the witness printed), 2 parse or validity
-error, 3 size cap exceeded.  A Sudoku batch gets one record per grid line and
-exits with the worst code over its lines.
+error (invalid UTF-8 included), 3 size cap exceeded.  A Sudoku batch gets one
+record per grid line and exits with the worst code over its lines.
 
 Every subcommand returns ``(exit code, JSON payload, text lines)``; only
 :func:`main` chooses between the two output formats.
@@ -137,11 +137,12 @@ def _violation(mapping: FiniteMapping, violation: HallViolation, payload: dict):
 
 
 def _read_input(args) -> str:
-    # A UTF-8 byte-order mark is not part of the text, in a file or on stdin.
-    if args.input is not None:
-        with open(args.input, encoding="utf-8-sig") as handle:
-            return handle.read()
-    return sys.stdin.read().removeprefix("\ufeff")
+    # Bytes from a file or stdin, decoded as UTF-8 less a leading byte-order
+    # mark, whatever the locale's encoding.
+    if args.input is None:
+        return sys.stdin.buffer.read().decode("utf-8-sig")
+    with open(args.input, "rb") as handle:
+        return handle.read().decode("utf-8-sig")
 
 
 # -- mapping subcommands ----------------------------------------------------
@@ -295,7 +296,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, payload, lines = args.handler(_read_input(args))
-    except (DocumentError, GridError, OSError, SizeCapError) as exc:
+    except (DocumentError, GridError, OSError, SizeCapError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SizeCapError) else 2
     if args.format == "json":

@@ -117,17 +117,6 @@ class FiniteMapping:
                 y_labels = tuple(seen)
         return cls(x_labels, y_labels, materialized)
 
-    @classmethod
-    def _raw(cls, x_labels: tuple, y_labels: tuple, image_bits: tuple) -> "FiniteMapping":
-        # Internal fast path: trusts that the parts already satisfy the invariants.
-        obj = object.__new__(cls)
-        obj.x_labels = x_labels
-        obj.y_labels = y_labels
-        obj.image_bits = image_bits
-        obj._x_index = {x: i for i, x in enumerate(x_labels)}
-        obj._y_index = {y: j for j, y in enumerate(y_labels)}
-        return obj
-
     # -- label / bitset conversions -------------------------------------
 
     @property
@@ -218,21 +207,11 @@ def complement(mapping: FiniteMapping, drop_x: Iterable[Label],
     z = mapping.y_bits(drop_y)
     if w == mapping.full_x_bits:
         raise DomainError("cannot drop the entire domain")
-    keep_y = [j for j in range(len(mapping.y_labels)) if not (z >> j) & 1]
-    new_pos = {j: p for p, j in enumerate(keep_y)}
-    y_labels = tuple([mapping.y_labels[j] for j in keep_y])
-    x_labels = []
-    image_bits = []
-    for i, x in enumerate(mapping.x_labels):
-        if (w >> i) & 1:
-            continue
-        x_labels.append(x)
-        b = mapping.image_bits[i] & ~z
-        nb = 0
-        for j in bit_indices(b):
-            nb |= 1 << new_pos[j]
-        image_bits.append(nb)
-    return FiniteMapping._raw(tuple(x_labels), y_labels, tuple(image_bits))
+    images = {x: mapping.y_labels_of(b & ~z)
+              for i, (x, b) in enumerate(zip(mapping.x_labels, mapping.image_bits))
+              if not (w >> i) & 1}
+    y_labels = [y for j, y in enumerate(mapping.y_labels) if not (z >> j) & 1]
+    return FiniteMapping(images, y_labels, images)
 
 
 def residual(mapping: FiniteMapping, members: Iterable[Label]) -> FiniteMapping:

@@ -1,9 +1,10 @@
 """Brute-force reference implementations used to validate everything else.
 
 Deliberately naive: selections are enumerated by depth-first assignment with
-nothing cleverer than a used-value set, and the Hall condition is checked by
-scanning every nonempty subset of the domain.  Keeping these independent of
-the bitset machinery minimizes the chance of a shared bug.
+nothing cleverer than a used-value set, and the Hall condition and the Hall
+scan's blocks are found by trying every subset of the domain in turn.  The
+module is independent of :mod:`.partition`'s scan, whose result types are all
+it takes from there, which minimizes the chance of a shared bug.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .mappings import FiniteMapping, SizeCapError
-from .partition import HallViolation
+from .partition import ExitKind, HallViolation
 from .kernel import KernelMapping, Selection
 
 SELECTION_CAP = 12
@@ -77,3 +78,43 @@ def oracle_hall_check(mapping: FiniteMapping, *,
             if len(union) < size:
                 return HallViolation(frozenset(combo))
     return None
+
+
+def oracle_hall_scan(image_bits, remaining: int, struck: int = 0):
+    """What ``partition.hall_scan`` returns, found by plain enumeration.
+
+    Each step takes the (size, lex)-first subset of the positions left in
+    ``remaining`` whose image less ``struck`` has no more values than members,
+    or all of them if none has: the next block, or with the blocks before it
+    the witness bitset when its image is smaller.
+    """
+    positions = [i for i in range(remaining.bit_length()) if remaining >> i & 1]
+    if len(positions) > SUBSET_SCAN_CAP:
+        raise SizeCapError(
+            f"subset scan over {len(positions)} elements exceeds the cap of "
+            f"{SUBSET_SCAN_CAP}")
+    blocks: list[int] = []
+    residuals: list[int] = []
+    while positions:
+        subsets = (combo for size in range(1, len(positions) + 1)
+                   for combo in combinations(positions, size))
+        combo = next((c for c in subsets
+                      if _image(image_bits, c, struck).bit_count() <= len(c)), positions)
+        union = _image(image_bits, combo, struck)
+        members = sum(1 << i for i in combo)
+        if union.bit_count() < len(combo):
+            return members | sum(blocks)  # the blocks are disjoint
+        blocks.append(members)
+        residuals.append(union)
+        if union.bit_count() > len(combo):
+            return tuple(blocks), tuple(residuals), ExitKind.LAST_BLOCK_NONCRITICAL
+        struck |= union
+        positions = [i for i in positions if i not in combo]
+    return tuple(blocks), tuple(residuals), ExitKind.LAST_BLOCK_CRITICAL
+
+
+def _image(image_bits, positions, struck):
+    union = 0
+    for i in positions:
+        union |= image_bits[i]
+    return union & ~struck

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
 
 from .mappings import (
     ENUMERATION_CAP,
@@ -92,80 +91,76 @@ class HallViolation:
     witness: frozenset
 
 
-def hall_scan(image_bits, remaining: int, struck: int = 0, *,
-              prune: bool = True):
+def hall_scan(image_bits, remaining: int, struck: int = 0):
     """Scan the domain positions in ``remaining``, values in ``struck`` taken.
 
     Subsets are tried in increasing size, lexicographic within a size; the
     first whose residual image is no larger than itself decides the step.  An
     equal image makes it the next block (non-reducible in the running residual
     mapping); a smaller one makes it, with the blocks taken so far, a witness.
-    With ``prune``, each size is walked depth first in lexicographic order with
-    the running union of the chosen images, and a partial subset whose union
-    already holds more values than the size is cut with everything extending
-    it: unions only grow, so no hit lies below it, and the first combination
-    the walk completes is the lexicographically first hit of that size.  Sizes
-    below the smallest residual image are cut at the first position.  Without
-    ``prune`` every combination is built in full.  Returns ``(block_bits,
-    residual_bits, exit_kind)``, or the witness bitset.  More than
-    ``ENUMERATION_CAP`` positions raise :class:`SizeCapError` up front.
+    Each size is walked depth first in lexicographic order with the running
+    union of the chosen images, and a partial subset whose union already holds
+    more values than the size is cut with everything extending it: unions only
+    grow, so no hit lies below it, and the first combination the walk
+    completes is the lexicographically first hit of that size.  Sizes below
+    the smallest residual image are cut at the first position.  Returns
+    ``(block_bits, residual_bits, exit_kind)``, or the witness bitset.  More
+    than ``ENUMERATION_CAP`` positions raise :class:`SizeCapError` up front.
 
-    With ``prune``, a step over m positions whose size-1 pass has no hit
-    makes one pass over the residual images for their value counts, their
-    union U of u values, and bit-sliced sets of the values held by at least
-    2, 3 and 4 positions.  It then skips each size s in 2..m-1 where fewer
-    than s positions have at most s values, or where m - s <= 3 and fewer
-    than u - s values are held by at most m - s positions, and takes the
-    whole step as the hit of size m exactly when u <= m.  A skipped size
-    holds no hit: take a hit S, |S| = s and |N'(S)| <= s.  Every position of
-    S has at most s values, so at least s positions do.  T = U less N'(S) has
-    at least u - s values, and no position of S holds any of them, so each is
-    held by at most m - s positions.  Both counts hold at s, so s is not
-    skipped.  Sizes are still tried in increasing order and each walked size
-    by the same walk, so the (size, lex)-first hit, witness included, is the
-    one the plain enumeration finds.
+    A step over m positions whose size-1 pass has no hit makes one pass over
+    the residual images for their value counts, their union U of u values, and
+    bit-sliced sets of the values held by at least 2, 3 and 4 positions.  It
+    then skips each size s in 2..m-1 where fewer than s positions have at most
+    s values, or where m - s <= 3 and fewer than u - s values are held by at
+    most m - s positions, and takes the whole step as the hit of size m
+    exactly when u <= m.  A skipped size holds no hit: take a hit S, |S| = s
+    and |N'(S)| <= s.  Every position of S has at most s values, so at least s
+    positions do.  T = U less N'(S) has at least u - s values, and no position
+    of S holds any of them, so each is held by at most m - s positions.  Both
+    counts hold at s, so s is not skipped.  Sizes are still tried in
+    increasing order and each walked size by the same walk, so the (size,
+    lex)-first hit, witness included, is the one the plain enumeration of
+    :func:`.oracle.oracle_hall_scan` finds.
 
-    With ``prune``, a step over more than :data:`MATCHING_CUTOFF` positions
-    whose size-1 pass has no hit takes a maximum matching of the residual
-    images instead of going on to size 2.  Call a set S of positions *tight*
-    when its residual image N'(S) has exactly |S| values.  If the matching
-    leaves a position uncovered, the Hall condition fails, here and in every
-    later step (a complete matching of what a tight set leaves, joined with
-    one of the tight set, would be complete), so the scan goes on as above and
-    returns its own (size, lex)-first witness.  If the matching covers every
-    position, all later blocks are read off it, and they are the scan's blocks
-    in the scan's order.  The matching puts |S| values of N'(S) on S, so S is
-    tight exactly when every value of N'(S) is matched into S: S reaches no
-    unmatched value and is closed under successors (p -> q when N'(p) holds
-    the value matched to q).  So the positions that reach an unmatched value
-    along these alternating edges lie in no tight set and form the
-    non-critical last block (none when every value is matched); among the
-    others the tight sets are the successor-closed unions of strongly
-    connected components (SCCs), and the minimal ones are the sink SCCs.
-    Tight sets are closed under union and intersection, so distinct minimal
-    ones are disjoint.  The scan's (size, lex)-first hit is a minimal tight
-    set of least size, and lex order on disjoint sets of one size compares
-    their least members, so the hit is the smallest sink SCC, ties going to
-    the least position.  Taking a sink SCC S out strikes exactly the values
-    matched into S; the rest keeps its matching, its unmatched values and its
-    SCCs, since no edge leaves S.  So each next block is the smallest SCC all
-    of whose successors are taken, ties again going to the least position:
-    the smallest closure, within what remains, of a remaining position, which
-    is how :func:`_matching_completion` finds it.
+    A step over more than :data:`MATCHING_CUTOFF` positions whose size-1 pass
+    has no hit takes a maximum matching of the residual images instead of going
+    on to size 2.  Call a set S of positions *tight* when its residual image
+    N'(S) has exactly |S| values.  If the matching leaves a position uncovered,
+    the Hall condition fails, here and in every later step (a complete matching
+    of what a tight set leaves, joined with one of the tight set, would be
+    complete), so the scan goes on as above and returns its own (size,
+    lex)-first witness.  If the matching covers every position, all later
+    blocks are read off it, and they are the scan's blocks in the scan's order.
+    The matching puts |S| values of N'(S) on S, so S is tight exactly when
+    every value of N'(S) is matched into S: S reaches no unmatched value and is
+    closed under successors (p -> q when N'(p) holds the value matched to q).
+    So the positions that reach an unmatched value along these alternating
+    edges lie in no tight set and form the non-critical last block (none when
+    every value is matched); among the others the tight sets are the
+    successor-closed unions of strongly connected components (SCCs), and the
+    minimal ones are the sink SCCs.  Tight sets are closed under union and
+    intersection, so distinct minimal ones are disjoint.  The scan's (size,
+    lex)-first hit is a minimal tight set of least size, and lex order on
+    disjoint sets of one size compares their least members, so the hit is the
+    smallest sink SCC, ties going to the least position.  Taking a sink SCC S
+    out strikes exactly the values matched into S; the rest keeps its matching,
+    its unmatched values and its SCCs, since no edge leaves S.  So each next
+    block is the smallest SCC all of whose successors are taken, ties again
+    going to the least position: the smallest closure, within what remains, of
+    a remaining position, which is how :func:`_matching_completion` finds it.
     """
     n = remaining.bit_count()
     if n > ENUMERATION_CAP:
         raise SizeCapError(
             f"partition scan over {n} elements exceeds the cap of {ENUMERATION_CAP}")
-    first_fit = _first_fit_pruned if prune else _first_fit
-    matching = prune
+    matching = True
     start_remaining = remaining
     block_bits: list[int] = []
     residual_bits: list[int] = []
     while True:
         indices = list(bit_indices(remaining))
         res = [image_bits[i] & ~struck for i in indices]
-        hit = first_fit(res, 1)
+        hit = _first_fit_pruned(res, 1)
         if hit is None:
             if matching and len(res) > MATCHING_CUTOFF:
                 rest = _matching_completion(indices, res)
@@ -173,13 +168,7 @@ def hall_scan(image_bits, remaining: int, struck: int = 0, *,
                     return (tuple(block_bits + rest[0]),
                             tuple(residual_bits + rest[1]), rest[2])
                 matching = False
-            if prune:
-                hit = _first_fit_counted(res)
-            else:
-                for size in range(2, len(res) + 1):
-                    hit = _first_fit(res, size)
-                    if hit is not None:
-                        break
+            hit = _first_fit_counted(res)
         if hit is None:
             # No critical set among what remains: it all becomes the last block.
             img = 0
@@ -330,23 +319,13 @@ def _first_fit_counted(res):
     return (tuple(range(m)), union) if u <= m else None
 
 
-def _first_fit(res, size):
+def _first_fit_pruned(res, size):
     # The lex-first ``size``-combination of positions whose union of images
     # has at most ``size`` values, as ``(combo, union)``; ``None`` if none.
-    for combo in combinations(range(len(res)), size):
-        img = 0
-        for k in combo:
-            img |= res[k]
-        if img.bit_count() <= size:
-            return combo, img
-    return None
-
-
-def _first_fit_pruned(res, size):
-    # ``_first_fit`` as an iterative depth-first walk: ``combo[:depth]`` is
-    # the partial combination, ``union`` its union of images and
-    # ``unions[d]`` the union over ``combo[:d]``.  Position ``i`` is tried at
-    # ``depth`` only while enough positions follow it to fill the size.
+    # A depth-first walk: ``combo[:depth]`` is the partial combination,
+    # ``union`` its union of images and ``unions[d]`` the union over
+    # ``combo[:d]``.  Position ``i`` is tried at ``depth`` only while enough
+    # positions follow it to fill the size.
     combo = [0] * size
     unions = [0] * size
     depth = union = i = 0
@@ -451,9 +430,11 @@ def partitions_equal_up_to_renumbering(first: HallPartition,
 
     Block order is a free choice of the scan, so equality ignores it; the
     residual image attached to each block must match as well (it is forced by
-    the block family, so this doubles as a consistency check).
+    the block family, so this doubles as a consistency check).  Unless both
+    are :class:`HallPartition` values, a violation say, the answer is ``False``.
     """
-    if len(first.blocks) != len(second.blocks):
+    if not (isinstance(first, HallPartition) and isinstance(second, HallPartition)
+            and len(first.blocks) == len(second.blocks)):
         return False
     pairing_first = dict(zip(first.blocks, first.residual_images))
     pairing_second = dict(zip(second.blocks, second.residual_images))

@@ -81,23 +81,20 @@ _UNIT_SLOTS = tuple([tuple([_SLOT_OF[cell] for cell in unit.cells]) for unit in 
 
 
 def _build_tables():
-    # One pass over the units: each cell's units in ``ALL_UNITS`` order and,
-    # per slot, its units as bits (bit ``u`` for ``ALL_UNITS[u]``) and the 20
-    # other slots sharing a unit with it.
-    units_by_cell: dict[Cell, tuple[Unit, ...]] = dict.fromkeys(ALL_CELLS, ())
+    # One pass over the units: per slot, its units as bits (bit ``u`` for
+    # ``ALL_UNITS[u]``) and the 20 other slots sharing a unit with it.
     unit_bits = [0] * 81
     seen = [0] * 81
-    for u, (unit, slots) in enumerate(zip(ALL_UNITS, _UNIT_SLOTS)):
+    for u, slots in enumerate(_UNIT_SLOTS):
         members = sum(1 << i for i in slots)
-        for cell, i in zip(unit.cells, slots):
-            units_by_cell[cell] += (unit,)
+        for i in slots:
             unit_bits[i] |= 1 << u
             seen[i] |= members
-    return units_by_cell, tuple(unit_bits), tuple(
+    return tuple(unit_bits), tuple(
         [tuple(bit_indices(s & ~(1 << i))) for i, s in enumerate(seen)])
 
 
-UNITS_BY_CELL, _UNIT_BITS, _NEIGHBOR_SLOTS = _build_tables()
+_UNIT_BITS, _NEIGHBOR_SLOTS = _build_tables()
 _ALL_UNIT_BITS = (1 << len(ALL_UNITS)) - 1
 
 

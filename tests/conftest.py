@@ -1,5 +1,6 @@
 """Shared instance generators and helpers for the test suite."""
 
+import io
 from itertools import chain, combinations, product
 
 from hypothesis import strategies as st
@@ -15,6 +16,16 @@ def mappings(draw, max_x=5, max_y=5, min_image=0):
     images = {x: draw(st.sets(st.integers(1, ny), min_size=min_image, max_size=ny))
               for x in range(1, nx + 1)}
     return FiniteMapping.from_dict(images, y_order=range(1, ny + 1))
+
+
+def stdin_of(data):
+    """A text stream like ``sys.stdin`` whose ``buffer`` holds ``data``.
+
+    Text is encoded as UTF-8; bytes are taken as they are.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 def all_mappings_3x3():

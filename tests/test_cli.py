@@ -1,6 +1,5 @@
 import functools
 import hashlib
-import io
 import json
 import os
 import random
@@ -26,6 +25,7 @@ from conftest import (
     blanked,
     canonical_grid_text,
     random_mapping,
+    stdin_of,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -62,7 +62,7 @@ BAD_DOCUMENTS = [
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", stdin_of(stdin))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -388,6 +388,36 @@ class TestByteOrderMark:
         assert run(capsys, argv, stdin="\ufeff" + text, monkeypatch=monkeypatch) == expected
 
 
+class TestInputDecoding:
+    """Input is read as bytes and decoded one way, from a file or from stdin."""
+
+    @pytest.mark.parametrize("argv", [["check"], ["sudoku", "solve"]])
+    def test_invalid_utf8_is_a_parse_error(self, argv, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 : 1 \xff\n")
+        code, out, err = run(capsys, argv + ["--input", str(path)])
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert run(capsys, argv, stdin=path.read_bytes(),
+                   monkeypatch=monkeypatch) == (code, out, err)
+
+    def test_stdin_ignores_the_locale_encoding(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_text("X: \u00e9 2\n\u00e9 : 1 2\n2 : 1\n", encoding="utf-8-sig")
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="latin-1")
+
+        def kernel(*args, **kwargs):
+            return subprocess.run(
+                [sys.executable, "-m", "hallkernel", "kernel", *args], env=env,
+                capture_output=True, timeout=60, **kwargs)
+
+        from_file = kernel("--input", str(path))
+        assert from_file.returncode == 0
+        assert from_file.stdout == "\u00e9: 2\n2: 1\n".encode("latin-1")
+        with open(path, "rb") as stdin:
+            from_stdin = kernel(stdin=stdin)
+        assert (from_stdin.returncode, from_stdin.stdout) == (0, from_file.stdout)
+
+
 def _mapping_documents():
     # Every 3x3 mapping with and without its X:/Y: headers, 300 seeded random
     # mappings up to 7x7, and every document test_bad_documents rejects.
@@ -415,7 +445,7 @@ def test_mapping_commands_match_recorded_transcript(capsys, monkeypatch):
     for text in _mapping_documents():
         for command in ("check", "partition", "kernel", "select", "enumerate"):
             for fmt in ("text", "json"):
-                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                monkeypatch.setattr("sys.stdin", stdin_of(text))
                 code = main([command, "--format", fmt])
                 digest.update(repr((code, capsys.readouterr().out)).encode())
     assert digest.hexdigest() == MAPPING_TRANSCRIPT_SHA256

@@ -35,3 +35,25 @@ def test_no_tuple_built_from_a_generator_expression():
              and node.func.id == "tuple" and node.args
              and isinstance(node.args[0], ast.GeneratorExp)]
     assert found == []
+
+
+def test_oracle_shares_nothing_with_the_scan():
+    # The oracle is the independent reference: from ``partition`` it takes the
+    # result types only, and it uses no package module's private helpers.
+    # ``(module, name)`` per imported package name, a whole module as "*".
+    tree = ast.parse((Path(hallkernel.__file__).parent / "oracle.py").read_text(
+        encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name.removeprefix("hallkernel."), "*")
+                         for alias in node.names if alias.name.startswith("hallkernel.")]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("hallkernel")):
+            module = (node.module or "").removeprefix("hallkernel").lstrip(".")
+            imported += [(module, alias.name) if module else (alias.name, "*")
+                         for alias in node.names]
+    assert imported, "oracle.py imports nothing from the package"
+    assert {name for module, name in imported if module == "partition"} <= {
+        "ExitKind", "HallViolation"}
+    assert [name for _, name in imported if name.startswith("_")] == []

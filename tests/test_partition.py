@@ -1,7 +1,9 @@
-import io
 import random
 from collections import Counter
 from contextlib import contextmanager
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +26,11 @@ from hallkernel import (
 )
 from hallkernel import partition, sudoku
 from hallkernel.cli import main
+from hallkernel.oracle import oracle_hall_scan
 from hallkernel.partition import hall_scan
 
-from conftest import INKALA, all_mappings_3x3, mappings, random_mapping, relabelled
+from conftest import (
+    INKALA, all_mappings_3x3, mappings, random_mapping, relabelled, stdin_of)
 
 M1 = FiniteMapping.from_dict({1: {1, 2}, 2: {1, 2}, 3: {1, 2, 3}})
 PERM4 = FiniteMapping.from_dict({i: {i} for i in (1, 2, 3, 4)})
@@ -62,9 +66,9 @@ class TestComputeHallPartition:
 
 
 def assert_cut_agrees(image_bits, remaining, struck=0):
-    """The pruned scan returns exactly what plain enumeration returns."""
-    pruned = hall_scan(image_bits, remaining, struck)
-    assert pruned == hall_scan(image_bits, remaining, struck, prune=False)
+    """The scan returns exactly what the oracle's plain enumeration returns."""
+    assert hall_scan(image_bits, remaining, struck) == \
+        oracle_hall_scan(image_bits, remaining, struck)
 
 
 def random_masks(rng, n, width):
@@ -121,7 +125,8 @@ def completion_everywhere():
     """Send every step without a size-1 hit to the matching completion.
 
     Yields ``{"calls": ..., "uncovered": ...}``, counting the completions and
-    those whose matching left a position uncovered.
+    those whose matching left a position uncovered.  The oracle's plain
+    enumeration reads neither patched name, so it stays the reference.
     """
     counts = {"calls": 0, "uncovered": 0}
     complete = partition._matching_completion
@@ -207,7 +212,7 @@ def ruled_out(res, size):
 
 
 class TestCountedSizes:
-    """The pruned scan walks no size the counts rule out, and those sizes hold no hit."""
+    """The scan walks no size the counts rule out, and those sizes hold no hit."""
 
     def test_unit_like_steps(self, monkeypatch):
         walked = []
@@ -228,7 +233,8 @@ class TestCountedSizes:
                     reason = ruled_out(res, s)
                     skipped[reason] += 1
                     if reason:
-                        assert partition._first_fit(res, s) is None
+                        assert all(reduce(or_, combo).bit_count() > s
+                                   for combo in combinations(res, s))
             else:
                 # The last size is read off the union, and no ruled-out size is walked.
                 assert size < len(res) and ruled_out(res, size) is None
@@ -367,7 +373,7 @@ class TestWhenTheCompletionRuns:
         assert extract_selection(f).values == tuple(range(1, n + 1))
         assert calls[0] == n
         text = "".join(f"{i} : {i} {i + 1}\n" for i in range(1, n + 1))
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
         assert main(["partition"]) == 0
         block = ", ".join(map(str, range(1, n + 1)))
         assert capsys.readouterr().out == (
@@ -467,6 +473,14 @@ class TestEqualUpToRenumbering:
     def test_different_families_differ(self):
         assert not partitions_equal_up_to_renumbering(
             compute_hall_partition(M1), compute_hall_partition(PERM4))
+
+    def test_a_violation_equals_nothing(self):
+        # compute_hall_partition returns a violation as a value, not an error.
+        violation = compute_hall_partition(FiniteMapping.from_dict({1: {1}, 2: {1}}))
+        found = compute_hall_partition(M1)
+        for first, second in ((violation, violation), (violation, found),
+                              (found, violation)):
+            assert not partitions_equal_up_to_renumbering(first, second)
 
 
 @given(mappings(max_x=6, max_y=6))

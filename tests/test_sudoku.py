@@ -14,7 +14,6 @@ from hallkernel.sudoku import (
     BLOCKS,
     COLUMNS,
     ROWS,
-    UNITS_BY_CELL,
     Contradiction,
     GridError,
     compute_markups,
@@ -68,9 +67,6 @@ class TestUnits:
             covered.update(unit.cells)
         assert covered == set(ALL_CELLS)
 
-    def test_each_cell_lies_in_exactly_three_units(self):
-        assert all(len(UNITS_BY_CELL[cell]) == 3 for cell in ALL_CELLS)
-
 
 class TestSlots:
     def test_unit_slots_spell_out_the_units(self):
@@ -85,6 +81,7 @@ class TestSlots:
             assert len(sharing) == 20
             assert [ALL_CELLS[j] for j in sudoku._NEIGHBOR_SLOTS[i]] == sorted(sharing)
             assert sudoku._UNIT_BITS[i] == sum(1 << u for u in units)
+            assert sudoku._UNIT_BITS[i].bit_count() == 3
 
     def test_grid_undoes_slots(self):
         grid = parse_grid(naked_pair_text())
