@@ -36,8 +36,8 @@ chain = FiniteMapping.from_dict({1: {1}, 2: {1, 2}, 3: {1, 2, 3}})
 print("chain has a unique selection?", has_unique_selection(chain))
 print("the selection:", extract_selection(chain).as_dict())
 
-# Selection extraction exposes picker hooks; the default takes least-index
-# choices, but any in-block picker yields a valid selection.
-print("default pickers:       ", extract_selection(F).as_dict())
-largest = extract_selection(F, choose_y=lambda x, candidates: candidates[-1])
-print("greatest-value picker: ", largest.as_dict())
+# The extracted selection is the least one: each element in turn takes the
+# least value that still extends to a whole selection, which is also the
+# first selection the oracle enumerates.
+print("least selection:       ", extract_selection(F).as_dict())
+print("oracle's first?        ", extract_selection(F) == enumerate_selections(F)[0])

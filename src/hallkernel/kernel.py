@@ -8,17 +8,24 @@ image within its block's residual image (what the earlier blocks can take is
 struck); when no selection exists, the kernel degenerates to all-empty images
 (a value, not an error -- the violation witness rides along as diagnostics).
 
-:func:`kernel_bits` reads it off one bitset :func:`hall_scan`; labels appear
-only in the public results and in the arguments handed to selection pickers.
+:func:`kernel_bits` reads it off one bitset :func:`hall_scan`, and
+:func:`extract_selection` walks one matching per block of it; labels appear
+only in the public results.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .mappings import DomainError, FiniteMapping, Label, bit_indices, complement
-from .partition import HallPartition, HallViolation, hall_scan, verify_partition
+from .partition import (
+    HallPartition,
+    HallViolation,
+    augment,
+    complete_matching,
+    hall_scan,
+    verify_partition,
+)
 from .partition import compute_hall_partition  # wrapped by perfbench/run.py's TRACED
 
 
@@ -148,53 +155,73 @@ def punctured_mapping(mapping: FiniteMapping, x: Label, y: Label) -> FiniteMappi
     return complement(mapping, (x,), (y,))
 
 
-def extract_selection(
-    mapping: FiniteMapping,
-    *,
-    choose_x: Callable[[Sequence], Label] | None = None,
-    choose_y: Callable[[Label, Sequence], Label] | None = None,
-) -> Selection | HallViolation:
-    """Build one alldifferent selection, or return the violation witness.
+def extract_selection(mapping: FiniteMapping) -> Selection | HallViolation:
+    """The least alldifferent selection, or the scan's Hall-violation witness.
 
-    Works block by block through the Hall partition: pick a domain element of
-    the block, pick a value from its residual image, puncture the block by
-    that pair and recurse on what is left (re-partitioning it, since the
-    puncture may split the block).  Any pick within a block is safe, so the
-    pickers are hooks; the defaults take the least-index element and value,
-    making the output reproducible.
+    Least is lexicographic, over the domain in label order with values
+    compared by codomain position: each element in turn takes the least value
+    that still extends, with the picks before it, to a whole selection.  It is
+    the first selection that :func:`.oracle.enumerate_selections` finds.
+
+    Proof sketch.  The blocks before a block W of the Hall partition are
+    critical together, so every selection spends all their values on them and
+    maps W into its residual image: the selections are the products of the
+    blocks' complete matchings, and each block is settled on its own.  A
+    one-element block takes the least value of its residual image.  A larger
+    block is matched once; then its elements go in ascending order, each
+    trying its untaken values in ascending order.  With M a matching that
+    covers the untaken elements, x can take v in some such matching exactly
+    when v is M(x), v is free, or v's owner reaches a free value or M(x) along
+    alternating edges that avoid v and the taken values (Berge: the symmetric
+    difference of M with such a matching holds that path).  Shifting M along
+    the path hands v to x.  A failed search leaves M as it was, so every
+    element it visited fails again for x's later values and is not searched
+    twice, which keeps each element's step to one pass over the edges.
     """
-    pick_x = choose_x if choose_x is not None else (lambda labels: labels[0])
-    pick_y = choose_y if choose_y is not None else (lambda x, labels: labels[0])
     result = hall_scan(mapping.image_bits, mapping.full_x_bits)
     if isinstance(result, int):
         return HallViolation(frozenset(mapping.x_labels_of(result)))
-    chosen: list = [None] * len(mapping.x_labels)
-    _assign_by_blocks(mapping, result[0], 0, chosen, pick_x, pick_y)
-    return Selection(mapping.x_labels, tuple(chosen))
+    chosen = [0] * len(mapping.image_bits)
+    for wbits, rbits in zip(result[0], result[1]):
+        if not wbits & (wbits - 1):
+            chosen[wbits.bit_length() - 1] = rbits & -rbits
+            continue
+        indices = list(bit_indices(wbits))
+        res = [mapping.image_bits[i] & rbits for i in indices]
+        for i, v in zip(indices, _least_matching(res)):
+            chosen[i] = v
+    y_labels = mapping.y_labels
+    return Selection(mapping.x_labels,
+                     tuple([y_labels[v.bit_length() - 1] for v in chosen]))
 
 
-def _assign_by_blocks(mapping, block_bits, struck, chosen, pick_x, pick_y):
-    # ``struck`` holds the values taken before the first block; each block
-    # strikes its whole image for the blocks after it.
-    for wbits in block_bits:
-        x = pick_x(mapping.x_labels_of(wbits))
-        i = mapping._x_index.get(x)
-        if i is None or not (wbits >> i) & 1:
-            raise DomainError(f"choose_x picked {x!r}, which is not in the block")
-        candidates = mapping.y_labels_of(mapping.image_bits[i] & ~struck)
-        y = pick_y(x, candidates)
-        if y not in candidates:
-            raise DomainError(
-                f"choose_y picked {y!r}, which is not available for {x!r}")
-        chosen[i] = y
-        rest = wbits & ~(1 << i)
-        if rest:
-            taken = struck | 1 << mapping._y_index[y]
-            punctured = hall_scan(mapping.image_bits, rest, taken)
-            if isinstance(punctured, int):
-                # A block is non-reducible with nonempty images, so any
-                # puncture of it still satisfies the Hall condition.
-                raise RuntimeError(
-                    f"puncturing a Hall block at {x!r} -> {y!r} left a Hall violation")
-            _assign_by_blocks(mapping, punctured[0], taken, chosen, pick_x, pick_y)
-        struck |= mapping.image_bits_of(wbits)
+def _least_matching(res):
+    # The lexicographically least complete matching of the positions with
+    # images ``res``, as single-bit values; extract_selection gives the proof.
+    matching = complete_matching(res)
+    if matching is None:
+        raise RuntimeError("a Hall block has no complete matching")
+    match, owner, matched = matching
+    taken = 0
+    for k, b in enumerate(res):
+        own = match[k]
+        seen = taken
+        candidates = b & ~taken
+        while True:
+            v = candidates & -candidates
+            if v == own:
+                break
+            if not v & matched:
+                matched ^= own | v  # k leaves ``own`` free
+                break
+            reached, seen = augment(res, match, owner, owner[v], seen | v,
+                                    ~matched | own)
+            if reached:
+                if reached != own:
+                    matched ^= own | reached  # the path took a free value
+                break
+            candidates &= ~seen
+        match[k] = v
+        owner[v] = k
+        taken |= v
+    return match

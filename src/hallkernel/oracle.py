@@ -19,9 +19,12 @@ SELECTION_CAP = 12
 SUBSET_SCAN_CAP = 20
 
 
-def enumerate_selections(mapping: FiniteMapping, *,
-                         cap: int = SELECTION_CAP) -> list[Selection]:
-    """Every alldifferent selection, in depth-first order over the domain."""
+def enumerate_selections(mapping: FiniteMapping, *, cap: int = SELECTION_CAP,
+                         limit: int | None = None) -> list[Selection]:
+    """Every alldifferent selection, in depth-first order over the domain.
+
+    With ``limit``, the enumeration stops once it has found that many.
+    """
     xs = mapping.x_labels
     if len(xs) > cap:
         raise SizeCapError(
@@ -44,6 +47,8 @@ def enumerate_selections(mapping: FiniteMapping, *,
             descend(i + 1)
             picks.pop()
             used.discard(y)
+            if len(found) == limit:
+                return
 
     descend(0)
     return found

@@ -157,7 +157,8 @@ def hall_scan(image_bits, remaining: int, struck: int = 0):
     start_remaining = remaining
     block_bits: list[int] = []
     residual_bits: list[int] = []
-    while True:
+    exit_kind = ExitKind.LAST_BLOCK_CRITICAL
+    while remaining:
         indices = list(bit_indices(remaining))
         res = [image_bits[i] & ~struck for i in indices]
         hit = _first_fit_pruned(res, 1)
@@ -188,9 +189,6 @@ def hall_scan(image_bits, remaining: int, struck: int = 0):
         residual_bits.append(img)
         struck |= img
         remaining &= ~wbits
-        if remaining == 0:
-            exit_kind = ExitKind.LAST_BLOCK_CRITICAL
-            break
     return tuple(block_bits), tuple(residual_bits), exit_kind
 
 
@@ -200,46 +198,11 @@ def _matching_completion(indices, res):
     # residual images ``res``; ``None`` when it leaves a position uncovered.
     # Local position k stands for ``indices[k]``; hall_scan's docstring gives
     # the argument.
+    matching = complete_matching(res)
+    if matching is None:
+        return None
+    match, _, matched = matching
     n = len(res)
-    match = [0] * n
-    owner: dict[int, int] = {}
-    matched = 0
-    for k in range(n):
-        v = res[k] & ~matched
-        if not v:
-            # Breadth first along alternating paths to an unmatched value,
-            # then shift each value on the path back one position.
-            via = {}
-            seen = 0
-            layer = [k]
-            while layer and not v:
-                following = []
-                for p in layer:
-                    new = res[p] & ~seen
-                    seen |= new
-                    v = new & ~matched
-                    if v:
-                        v &= -v
-                        via[v] = p
-                        break
-                    while new:
-                        u = new & -new
-                        new ^= u
-                        via[u] = p
-                        following.append(owner[u])
-                layer = following
-            if not v:
-                return None
-            matched |= v
-            p = via[v]
-            while p != k:
-                match[p], v = v, match[p]
-                owner[match[p]] = p
-                p = via[v]
-        v &= -v
-        match[k] = v
-        owner[v] = k
-        matched |= v
     # Positions reaching an unmatched value; ``left`` keeps the others.
     reach = 0
     for b in res:
@@ -288,6 +251,68 @@ def _matching_completion(indices, res):
     blocks.append(wbits)
     residuals.append(reach)
     return blocks, residuals, ExitKind.LAST_BLOCK_NONCRITICAL
+
+
+def complete_matching(res):
+    """A matching that covers every position, or ``None`` if there is none.
+
+    ``res[k]`` is the image bitset of position k.  Each position takes its
+    least free value, or else an alternating path by :func:`augment`.
+    Returns ``(match, owner, matched)``: ``match[k]`` is the single-bit value
+    of position k, ``owner`` maps each matched value back to its position and
+    ``matched`` is the union of ``match``.
+    """
+    match = [0] * len(res)
+    owner: dict[int, int] = {}
+    matched = 0
+    for k, b in enumerate(res):
+        v = b & ~matched
+        if v:
+            v &= -v
+            match[k] = v
+            owner[v] = k
+        else:
+            v = augment(res, match, owner, k, 0, ~matched)[0]
+            if not v:
+                return None
+        matched |= v
+    return match, owner, matched
+
+
+def augment(res, match, owner, start, seen, goal):
+    """Search breadth first from ``start`` for an alternating path into ``goal``.
+
+    A position steps to each value of its image outside ``seen``, and a
+    matched value to its ``owner``.  When the search reaches a value of
+    ``goal``, each position on the path takes the value after it (``start``
+    the first one) and ``match``/``owner`` are updated.  Returns the value
+    reached, 0 if none, and ``seen`` together with every value visited: when
+    the search fails, no position it visited reaches ``goal`` avoiding
+    ``seen``.
+    """
+    via = {}
+    layer = [start]
+    while layer:
+        following = []
+        for p in layer:
+            new = res[p] & ~seen
+            seen |= new
+            v = new & goal
+            if v:
+                reached = v = v & -v
+                while True:
+                    match[p], v = v, match[p]
+                    owner[match[p]] = p
+                    if p == start:
+                        return reached, seen
+                    p = via[v]
+            while new:
+                u = new & -new
+                new ^= u
+                via[u] = p
+                following.append(owner[u])
+        layer = following
+    return 0, seen
 
 
 def _first_fit_counted(res):

@@ -3,7 +3,6 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from hallkernel import (
     DomainError,
@@ -25,9 +24,9 @@ from hallkernel import (
     residual,
 )
 from hallkernel.oracle import enumerate_selections, oracle_kernel
-from hallkernel.partition import hall_scan
 
-from conftest import all_mappings_3x3, critical_sets, mappings, random_mapping
+from conftest import (
+    all_mappings_3x3, critical_sets, mappings, random_mapping, relabelled)
 
 M1 = FiniteMapping.from_dict({1: {1, 2}, 2: {1, 2}, 3: {1, 2, 3}})
 PERM3 = FiniteMapping.from_dict({i: {i} for i in (1, 2, 3)})
@@ -106,38 +105,19 @@ class TestExtractSelection:
     def test_violation_passthrough(self):
         assert extract_selection(PIGEON) == HallViolation(frozenset({1, 2}))
 
-    def test_alternative_pickers_still_produce_a_selection(self):
-        got = extract_selection(
-            M1,
-            choose_x=lambda labels: labels[-1],
-            choose_y=lambda x, labels: labels[-1])
-        values = got.as_dict()
-        assert sorted(values) == [1, 2, 3]
-        assert len(set(values.values())) == 3
-        assert all(y in M1.image(x) for x, y in values.items())
-
     def test_label_outside_the_domain_is_a_domain_error(self):
         selection = extract_selection(M1)
         assert selection[3] == 3
         with pytest.raises(DomainError, match="4"):
             selection[4]
 
-    def test_bad_picker_is_rejected(self):
-        with pytest.raises(DomainError):
-            extract_selection(M1, choose_x=lambda labels: "nope")
-
     def test_violation_inside_a_block_is_an_invariant_error(self, monkeypatch):
         # Unreachable with a correct scan; it must raise, not pass silently.
-        # The top-level scan runs for real; the puncture's scan reports a violation.
-        calls = []
-
-        def scan(*args):
-            calls.append(args)
-            return hall_scan(*args) if len(calls) == 1 else 0b1
-
-        monkeypatch.setattr("hallkernel.kernel.hall_scan", scan)
-        with pytest.raises(RuntimeError, match="left a Hall violation"):
-            extract_selection(M1)
+        # The scan hands over one block of two elements on one value.
+        monkeypatch.setattr("hallkernel.kernel.hall_scan", lambda *args: (
+            (0b11,), (0b1,), ExitKind.LAST_BLOCK_CRITICAL))
+        with pytest.raises(RuntimeError, match="no complete matching"):
+            extract_selection(PIGEON)
 
 
 class TestPuncturedMapping:
@@ -249,43 +229,10 @@ def test_extracted_selections_are_injective_members(f):
     assert all(y in f.image(x) for x, y in got.items())
 
 
-@given(mappings(max_x=5, max_y=5, min_image=1), st.randoms(use_true_random=False))
-@settings(max_examples=100)
-def test_any_in_block_picker_yields_a_selection(f, rng):
-    got = extract_selection(
-        f,
-        choose_x=lambda labels: rng.choice(labels),
-        choose_y=lambda x, candidates: rng.choice(candidates))
-    if isinstance(got, HallViolation):
-        assert enumerate_selections(f) == []
-        return
-    assert len(set(got.values)) == len(f.x_labels)
-    assert all(y in f.image(x) for x, y in got.items())
-
-
-def _selection_transcript(mapping):
-    # Default picks, then recording pickers that take the last element and the
-    # middle value, so both hooks see non-trivial argument sequences.
-    log = []
-
-    def pick_x(labels):
-        log.append(("x", labels))
-        return labels[-1]
-
-    def pick_y(x, candidates):
-        log.append(("y", x, candidates))
-        return candidates[len(candidates) // 2]
-
-    default = extract_selection(mapping)
-    custom = extract_selection(mapping, choose_x=pick_x, choose_y=pick_y)
-    return default, custom, log
-
-
-#: sha256 of the selection transcripts over the corpus below, recorded with the
-#: label-level puncture recursion (complement + re-partition per puncture) that
-#: the bit-level recursion replaced.
+#: sha256 of the default selections over the corpus below, recorded with the
+#: puncture recursion (one re-partition per pick) that the matching walk replaced.
 SELECTION_TRANSCRIPT_SHA256 = (
-    "479004b68adc2765ce8141ea2dd5507fae2dd7e17666d1218f8366773c854931")
+    "f1eed0c0d23b9bc48588f3fc92fcf98043d5fa34ccccb3c2a3e2614e40976db0")
 
 
 def test_bit_level_selection_matches_label_level_transcript():
@@ -294,11 +241,84 @@ def test_bit_level_selection_matches_label_level_transcript():
                                          for _ in range(2000)]
     digest = hashlib.sha256()
     for mapping in corpus:
-        default, custom, log = _selection_transcript(mapping)
-        if isinstance(default, HallViolation):
-            assert custom == default
-        else:
-            members = enumerate_selections(mapping)
-            assert default in members and custom in members
-        digest.update(repr((default, custom, log)).encode())
+        digest.update(repr(extract_selection(mapping)).encode())
     assert digest.hexdigest() == SELECTION_TRANSCRIPT_SHA256
+
+
+def assert_least_selection(f):
+    """The selection is the oracle's first, or the scan's witness when there is none."""
+    got = extract_selection(f)
+    first = enumerate_selections(f, limit=1)
+    assert got == (first[0] if first else check_hall(f))
+
+
+def test_selection_is_the_first_enumerated():
+    rng = random.Random(20261019)
+    for f in all_mappings_3x3():
+        assert_least_selection(f)
+    for _ in range(2000):
+        assert_least_selection(random_mapping(rng, max_x=9, max_y=9))
+
+
+@given(mappings(max_x=6, max_y=6))
+@settings(max_examples=200)
+def test_selection_is_the_first_enumerated_property(f):
+    assert_least_selection(f)
+
+
+def chained_blocks(rng, n, largest):
+    """Images of ``n`` positions in blocks of 1 to ``largest`` positions.
+
+    Each block is a cycle over values of its own, so it is strongly connected,
+    plus random edges into its own and the earlier blocks' values.
+    """
+    images = []
+    start = 0
+    while start < n:
+        size = min(rng.randint(1, largest), n - start)
+        own = rng.sample(range(start, start + size), size)
+        for k in range(size):
+            images.append({own[k], own[(k + 1) % size]}
+                          | {y for y in range(start + size) if rng.random() < 0.15})
+        start += size
+    return images
+
+
+def large_selection_corpus():
+    """Seeded mappings of 10 to 20 elements, above the oracle's cap and the cutoff.
+
+    Paths, shuffled triangular chains, single blocks, chains of critical
+    blocks, chains ending in a non-critical block and Hall violators, each
+    with shuffled ground-set orders where that matters.
+    """
+    rng = random.Random(20261020)
+    for n in range(10, 21):
+        path = [{i, i + 1} for i in range(n)]
+        families = [path, path, [set(range(i + 1)) for i in range(n)]]
+        for _ in range(6):
+            families.append(chained_blocks(rng, n, n))
+            families.append(chained_blocks(rng, n, 5))
+            spare = chained_blocks(rng, n, 5)
+            rng.choice(spare).add(n)
+            families.append(spare)
+        for _ in range(4):
+            fresh = ({n}, {n + 1})
+            bits = [img | (rng.choice(fresh) if rng.random() < 0.2 else set())
+                    for img in chained_blocks(rng, n - 3, 5)]
+            families.append(bits + [{n, n + 1}] * 3)
+        for k, images in enumerate(families):
+            f = FiniteMapping.from_dict(dict(enumerate(images)), y_order=range(n + 2))
+            yield f if k == 0 else relabelled(f, rng)
+
+
+#: sha256 of the default selections over :func:`large_selection_corpus`,
+#: recorded with the puncture recursion that the matching walk replaced.
+LARGE_SELECTION_SHA256 = (
+    "71146606be0fed76b6856d56bdf27e9fd381265a70751d0a28bfada2c3f470b1")
+
+
+def test_selections_above_the_caps_are_pinned():
+    digest = hashlib.sha256()
+    for f in large_selection_corpus():
+        digest.update(repr(extract_selection(f)).encode())
+    assert digest.hexdigest() == LARGE_SELECTION_SHA256

@@ -19,6 +19,13 @@ class TestEnumerateSelections:
     def test_value_tuples_in_dfs_order(self):
         assert [s.values for s in enumerate_selections(M1)] == [(1, 2, 3), (2, 1, 3)]
 
+    def test_limit_keeps_the_first(self):
+        full = FiniteMapping.from_dict({i: range(4) for i in range(4)})
+        for limit in (1, 5, 24, 30):
+            assert enumerate_selections(full, limit=limit) == \
+                enumerate_selections(full)[:limit]
+        assert enumerate_selections(PIGEON, limit=1) == []
+
     def test_pigeonhole_has_none(self):
         assert enumerate_selections(PIGEON) == []
 

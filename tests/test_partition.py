@@ -82,6 +82,7 @@ class TestPrunedScan:
         for f in all_mappings_3x3():
             assert_cut_agrees(f.image_bits, f.full_x_bits)
             assert_cut_agrees(f.image_bits, *random_masks(rng, 3, 3))
+            assert_cut_agrees(f.image_bits, 0, rng.randint(0, 7))
 
     def test_path_and_triangular_families(self):
         rng = random.Random(12)
@@ -110,7 +111,7 @@ class TestPrunedScan:
 def scan_arguments(draw):
     """Image bitsets over up to 8 values, with ``remaining`` and ``struck`` masks."""
     bits = draw(st.lists(st.integers(0, 255), min_size=1, max_size=8))
-    remaining = draw(st.integers(1, (1 << len(bits)) - 1))
+    remaining = draw(st.integers(0, (1 << len(bits)) - 1))
     return bits, remaining, draw(st.integers(0, 255))
 
 
