@@ -37,6 +37,7 @@ from .kernel import (
     extract_selection,
     has_unique_selection,
     is_alldifferent,
+    iter_selections,
     kernel_from_partition,
     punctured_mapping,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "is_alldifferent",
     "has_unique_selection",
     "extract_selection",
+    "iter_selections",
     "punctured_mapping",
     "enumerate_selections",
     "oracle_kernel",

@@ -24,8 +24,8 @@ import sys
 
 from .mappings import FiniteMapping, InvalidMappingError, SizeCapError
 from .partition import HallViolation, check_hall, compute_hall_partition
-from .kernel import alldifferent_kernel, extract_selection
-from .oracle import enumerate_selections
+from .kernel import alldifferent_kernel, extract_selection, iter_selections
+from .oracle import SELECTION_CAP
 from . import sudoku
 from .sudoku import Contradiction, GridError, grid_cells, parse_grid
 
@@ -190,7 +190,10 @@ def _cmd_select(mapping: FiniteMapping):
 
 
 def _cmd_enumerate(mapping: FiniteMapping):
-    selections = enumerate_selections(mapping)
+    if len(mapping.x_labels) > SELECTION_CAP:  # the output can grow as n!
+        raise SizeCapError(f"selection enumeration over {len(mapping.x_labels)} "
+                           f"elements exceeds the cap of {SELECTION_CAP}")
+    selections = list(iter_selections(mapping))
     return (0, {"selections": [{str(x): str(y) for x, y in s.items()}
                                for s in selections]},
             [" ".join(f"{x}->{y}" for x, y in s.items()) for s in selections])

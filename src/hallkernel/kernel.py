@@ -9,15 +9,15 @@ struck); when no selection exists, the kernel degenerates to all-empty images
 (a value, not an error -- the violation witness rides along as diagnostics).
 
 :func:`kernel_bits` reads it off one bitset :func:`hall_scan`, and
-:func:`extract_selection` walks one matching per block of it; labels appear
-only in the public results.
+:func:`iter_selections` walks its complete matchings, which are the
+selections; labels appear only in the public results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .mappings import DomainError, FiniteMapping, Label, bit_indices, complement
+from .mappings import DomainError, FiniteMapping, Label, complement
 from .partition import (
     HallPartition,
     HallViolation,
@@ -90,8 +90,10 @@ def kernel_bits(image_bits) -> list[int] | int:
         return result
     kernel = list(image_bits)
     for wbits, rbits in zip(result[0], result[1]):
-        for i in bit_indices(wbits):
-            kernel[i] &= rbits
+        while wbits:
+            low = wbits & -wbits
+            kernel[low.bit_length() - 1] &= rbits
+            wbits ^= low
     return kernel
 
 
@@ -147,8 +149,8 @@ def punctured_mapping(mapping: FiniteMapping, x: Label, y: Label) -> FiniteMappi
     """Remove one domain element and strike one of its values everywhere.
 
     ``y`` must lie in the image of ``x``; the domain must keep at least one
-    element.  The mapping is alldifferent exactly when every such puncture
-    still admits a selection, which is what this helper exists to test.
+    element.  Public, with no library caller, for the paper's test: a mapping
+    is alldifferent exactly when every such puncture still admits a selection.
     """
     if y not in mapping.image(x):
         raise DomainError(f"{y!r} is not in the image of {x!r}")
@@ -159,69 +161,71 @@ def extract_selection(mapping: FiniteMapping) -> Selection | HallViolation:
     """The least alldifferent selection, or the scan's Hall-violation witness.
 
     Least is lexicographic, over the domain in label order with values
-    compared by codomain position: each element in turn takes the least value
-    that still extends, with the picks before it, to a whole selection.  It is
-    the first selection that :func:`.oracle.enumerate_selections` finds.
-
-    Proof sketch.  The blocks before a block W of the Hall partition are
-    critical together, so every selection spends all their values on them and
-    maps W into its residual image: the selections are the products of the
-    blocks' complete matchings, and each block is settled on its own.  A
-    one-element block takes the least value of its residual image.  A larger
-    block is matched once; then its elements go in ascending order, each
-    trying its untaken values in ascending order.  With M a matching that
-    covers the untaken elements, x can take v in some such matching exactly
-    when v is M(x), v is free, or v's owner reaches a free value or M(x) along
-    alternating edges that avoid v and the taken values (Berge: the symmetric
-    difference of M with such a matching holds that path).  Shifting M along
-    the path hands v to x.  A failed search leaves M as it was, so every
-    element it visited fails again for x's later values and is not searched
-    twice, which keeps each element's step to one pass over the edges.
+    compared by codomain position: the first item of :func:`iter_selections`.
     """
-    result = hall_scan(mapping.image_bits, mapping.full_x_bits)
-    if isinstance(result, int):
-        return HallViolation(frozenset(mapping.x_labels_of(result)))
-    chosen = [0] * len(mapping.image_bits)
-    for wbits, rbits in zip(result[0], result[1]):
-        if not wbits & (wbits - 1):
-            chosen[wbits.bit_length() - 1] = rbits & -rbits
-            continue
-        indices = list(bit_indices(wbits))
-        res = [mapping.image_bits[i] & rbits for i in indices]
-        for i, v in zip(indices, _least_matching(res)):
-            chosen[i] = v
-    y_labels = mapping.y_labels
-    return Selection(mapping.x_labels,
-                     tuple([y_labels[v.bit_length() - 1] for v in chosen]))
+    kernel = kernel_bits(mapping.image_bits)
+    if isinstance(kernel, int):
+        return HallViolation(frozenset(mapping.x_labels_of(kernel)))
+    return next(_selections(mapping, kernel))
 
 
-def _least_matching(res):
-    # The lexicographically least complete matching of the positions with
-    # images ``res``, as single-bit values; extract_selection gives the proof.
+def iter_selections(mapping: FiniteMapping):
+    """Every alldifferent selection, in :func:`.oracle.enumerate_selections` order.
+
+    That is lexicographic order, as in :func:`extract_selection`; none on a
+    Hall violation.  The work between two selections is polynomial (Uno 1997).
+
+    Proof sketch.  A selection picks from each kernel image, and distinct
+    kernel values, one per element, make a selection: the selections are the
+    complete matchings of the kernel.  The walk is depth first, each element
+    trying its untaken kernel values in ascending order.  With M a complete
+    matching where the earlier elements hold their picks, x can take v exactly
+    when v is M(x), v is free, or v's owner reaches a free value or M(x) along
+    alternating edges avoiding v and the taken values (Berge); shifting M
+    along that path hands v to x.  A failed search leaves M as it was, and the
+    elements it visited own all their untaken values: x can take none of the
+    values visited, whatever M becomes, and drops them for good.
+    """
+    kernel = kernel_bits(mapping.image_bits)
+    if not isinstance(kernel, int):
+        yield from _selections(mapping, kernel)
+
+
+def _selections(mapping, res):
+    # iter_selections' walk, over the complete matchings of images ``res``.
     matching = complete_matching(res)
     if matching is None:
-        raise RuntimeError("a Hall block has no complete matching")
+        raise RuntimeError("the kernel has no complete matching")
     match, owner, matched = matching
-    taken = 0
-    for k, b in enumerate(res):
-        own = match[k]
-        seen = taken
-        candidates = b & ~taken
-        while True:
+    left = []  # the values each position before k has still to try
+    k = taken = 0
+    candidates = res[0]  # a mapping's domain is never empty
+    while True:
+        own, seen = match[k], taken  # M may have changed since k last searched
+        while candidates:
             v = candidates & -candidates
-            if v == own:
-                break
-            if not v & matched:
-                matched ^= own | v  # k leaves ``own`` free
+            if v == own or not v & matched:
+                matched ^= own ^ v  # a free v is taken and ``own`` freed
                 break
             reached, seen = augment(res, match, owner, owner[v], seen | v,
                                     ~matched | own)
             if reached:
-                if reached != own:
-                    matched ^= own | reached  # the path took a free value
+                matched ^= own ^ reached  # a path into a free value frees ``own``
                 break
             candidates &= ~seen
-        match[k] = v
-        owner[v] = k
-        taken |= v
-    return match
+        if candidates:
+            left.append(candidates ^ v)
+            match[k] = v
+            owner[v] = k
+            taken |= v
+            k += 1
+            if k < len(res):
+                candidates = res[k] & ~taken
+                continue
+            yield Selection(mapping.x_labels, tuple([mapping.y_labels[v.bit_length() - 1]
+                                                     for v in match]))
+        if not left:
+            return
+        k -= 1
+        taken ^= match[k]
+        candidates = left.pop()

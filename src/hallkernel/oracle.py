@@ -25,6 +25,8 @@ def enumerate_selections(mapping: FiniteMapping, *, cap: int = SELECTION_CAP,
 
     With ``limit``, the enumeration stops once it has found that many.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit {limit} is negative")
     xs = mapping.x_labels
     if len(xs) > cap:
         raise SizeCapError(
@@ -36,6 +38,8 @@ def enumerate_selections(mapping: FiniteMapping, *, cap: int = SELECTION_CAP,
     used: set = set()
 
     def descend(i: int) -> None:
+        if len(found) == limit:
+            return
         if i == len(xs):
             found.append(Selection(xs, tuple(picks)))
             return
@@ -47,8 +51,6 @@ def enumerate_selections(mapping: FiniteMapping, *, cap: int = SELECTION_CAP,
             descend(i + 1)
             picks.pop()
             used.discard(y)
-            if len(found) == limit:
-                return
 
     descend(0)
     return found

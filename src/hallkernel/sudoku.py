@@ -167,7 +167,11 @@ def compute_markups(grid: SudokuGrid) -> SudokuGrid:
 
 
 def unit_mapping(grid: SudokuGrid, unit: Unit) -> FiniteMapping:
-    """The unit's unpopulated cells mapped to their candidate digits."""
+    """The unit's unpopulated cells mapped to their candidate digits.
+
+    Public as the paper's view of one unit, for callers and demos; the solver
+    runs on bitsets and never builds it.
+    """
     xs = [c for c in unit.cells if c in grid.candidates]
     if not xs:
         raise DomainError(f"{unit} has no unpopulated cells")

@@ -18,6 +18,22 @@ def mappings(draw, max_x=5, max_y=5, min_image=0):
     return FiniteMapping.from_dict(images, y_order=range(1, ny + 1))
 
 
+@st.composite
+def hall_mappings(draw, max_x=5, max_y=5):
+    """Random small mappings that satisfy the Hall condition, by construction.
+
+    Each element gets a planted value of its own, then random extras.  Every
+    Hall-satisfying mapping within the bounds can be drawn: plant one of its
+    selections.
+    """
+    ny = draw(st.integers(1, max_y))
+    nx = draw(st.integers(1, min(max_x, ny)))
+    planted = draw(st.permutations(range(1, ny + 1)))
+    images = {x: {planted[x - 1]} | draw(st.sets(st.integers(1, ny), max_size=ny))
+              for x in range(1, nx + 1)}
+    return FiniteMapping.from_dict(images, y_order=range(1, ny + 1))
+
+
 def stdin_of(data):
     """A text stream like ``sys.stdin`` whose ``buffer`` holds ``data``.
 

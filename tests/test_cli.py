@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hallkernel import FiniteMapping, cli
+from hallkernel import FiniteMapping, SizeCapError, cli
 from hallkernel.cli import (
     DocumentError,
     main,
@@ -17,6 +17,7 @@ from hallkernel.cli import (
     serialize_mapping_document,
 )
 
+from hallkernel.oracle import enumerate_selections
 from hallkernel.sudoku import grid_line, parse_grid, propagate, render, solve
 
 from conftest import (
@@ -215,6 +216,14 @@ class TestMappingCommands:
         code, _, err = run(capsys, ["enumerate", "--input", path])
         assert code == 3
         assert "cap" in err
+
+    def test_enumerate_cap_message_is_the_oracles(self, capsys, tmp_path):
+        wide = FiniteMapping.from_dict({i: {i} for i in range(13)})
+        with pytest.raises(SizeCapError) as refused:
+            enumerate_selections(wide)
+        path = write(tmp_path, "wide.txt", serialize_mapping_document(wide))
+        assert run(capsys, ["enumerate", "--input", path]) == (
+            3, "", f"error: {refused.value}\n")
 
     def test_kernel_size_cap_exit_code(self, capsys, tmp_path):
         values = " ".join(f"y{i}" for i in range(25))

@@ -19,6 +19,7 @@ from hallkernel import (
     has_unique_selection,
     is_alldifferent,
     image_of_set,
+    iter_selections,
     kernel_from_partition,
     punctured_mapping,
     residual,
@@ -26,7 +27,7 @@ from hallkernel import (
 from hallkernel.oracle import enumerate_selections, oracle_kernel
 
 from conftest import (
-    all_mappings_3x3, critical_sets, mappings, random_mapping, relabelled)
+    all_mappings_3x3, critical_sets, hall_mappings, mappings, random_mapping, relabelled)
 
 M1 = FiniteMapping.from_dict({1: {1, 2}, 2: {1, 2}, 3: {1, 2, 3}})
 PERM3 = FiniteMapping.from_dict({i: {i} for i in (1, 2, 3)})
@@ -151,11 +152,11 @@ def test_kernel_matches_oracle(f):
     assert alldifferent_kernel(f) == oracle_kernel(f)
 
 
-@given(mappings(max_x=5, max_y=5))
+@given(hall_mappings(max_x=5, max_y=5))
 @settings(max_examples=100)
 def test_kernel_is_a_fixpoint(f):
     kern = alldifferent_kernel(f)
-    assume(not kern.is_empty)
+    assert not kern.is_empty
     again = FiniteMapping(f.x_labels, f.y_labels, kern.images_by_label())
     assert alldifferent_kernel(again).images == kern.images
 
@@ -266,6 +267,42 @@ def test_selection_is_the_first_enumerated_property(f):
     assert_least_selection(f)
 
 
+def test_iter_selections_match_the_oracle():
+    rng = random.Random(20261021)
+    corpus = list(all_mappings_3x3()) + [random_mapping(rng, max_x=8, max_y=8)
+                                         for _ in range(2000)]
+    for f in corpus:
+        selections = list(iter_selections(f))
+        assert selections == enumerate_selections(f)
+        if selections:
+            assert extract_selection(f) == selections[0]
+
+
+@given(mappings(max_x=6, max_y=6))
+@settings(max_examples=200)
+def test_iter_selections_match_the_oracle_property(f):
+    assert list(iter_selections(f)) == enumerate_selections(f)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_path_selections_above_the_oracle_cap(n):
+    # Element i takes i or i + 1: the last j elements take i + 1, for j = 0..n.
+    f = FiniteMapping.from_dict({i: {i, i + 1} for i in range(n)})
+    assert [s.values for s in iter_selections(f)] == [
+        tuple(range(n - j)) + tuple(range(n - j + 1, n + 1)) for j in range(n + 1)]
+
+
+def test_triangular_chain_has_one_selection():
+    f = FiniteMapping.from_dict({i: set(range(i + 1)) for i in range(20)})
+    assert [s.values for s in iter_selections(f)] == [tuple(range(20))]
+
+
+def test_iter_selections_size_cap():
+    wide = FiniteMapping.from_dict({i: range(25) for i in range(25)})
+    with pytest.raises(SizeCapError, match="exceeds the cap of 24"):
+        next(iter_selections(wide))
+
+
 def chained_blocks(rng, n, largest):
     """Images of ``n`` positions in blocks of 1 to ``largest`` positions.
 
@@ -322,3 +359,9 @@ def test_selections_above_the_caps_are_pinned():
     for f in large_selection_corpus():
         digest.update(repr(extract_selection(f)).encode())
     assert digest.hexdigest() == LARGE_SELECTION_SHA256
+
+
+def test_selection_is_the_first_walked_above_the_caps():
+    for f in large_selection_corpus():
+        first = next(iter_selections(f), None)
+        assert extract_selection(f) == (check_hall(f) if first is None else first)

@@ -21,10 +21,12 @@ class TestEnumerateSelections:
 
     def test_limit_keeps_the_first(self):
         full = FiniteMapping.from_dict({i: range(4) for i in range(4)})
-        for limit in (1, 5, 24, 30):
+        for limit in (0, 1, 5, 24, 30):
             assert enumerate_selections(full, limit=limit) == \
                 enumerate_selections(full)[:limit]
         assert enumerate_selections(PIGEON, limit=1) == []
+        with pytest.raises(ValueError, match="-1"):
+            enumerate_selections(full, limit=-1)
 
     def test_pigeonhole_has_none(self):
         assert enumerate_selections(PIGEON) == []

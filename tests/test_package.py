@@ -37,11 +37,9 @@ def test_no_tuple_built_from_a_generator_expression():
     assert found == []
 
 
-def test_oracle_shares_nothing_with_the_scan():
-    # The oracle is the independent reference: from ``partition`` it takes the
-    # result types only, and it uses no package module's private helpers.
-    # ``(module, name)`` per imported package name, a whole module as "*".
-    tree = ast.parse((Path(hallkernel.__file__).parent / "oracle.py").read_text(
+def package_imports(filename):
+    """``(module, name)`` per package name the file imports, a whole module as "*"."""
+    tree = ast.parse((Path(hallkernel.__file__).parent / filename).read_text(
         encoding="utf-8"))
     imported = []
     for node in ast.walk(tree):
@@ -53,7 +51,25 @@ def test_oracle_shares_nothing_with_the_scan():
             module = (node.module or "").removeprefix("hallkernel").lstrip(".")
             imported += [(module, alias.name) if module else (alias.name, "*")
                          for alias in node.names]
+    return imported
+
+
+def test_oracle_shares_nothing_with_the_scan():
+    # The oracle is the independent reference: from ``partition`` it takes the
+    # result types only, and it uses no package module's private helpers.
+    imported = package_imports("oracle.py")
     assert imported, "oracle.py imports nothing from the package"
     assert {name for module, name in imported if module == "partition"} <= {
         "ExitKind", "HallViolation"}
     assert [name for _, name in imported if name.startswith("_")] == []
+
+
+def test_cli_runs_no_oracle_code():
+    # Selections come from the kernel's matchings, and the oracle stays the
+    # reference the tests hold them to; ``enumerate`` borrows only its cap.
+    assert [(module, name) for module, name in package_imports("cli.py")
+            if module == "oracle"] == [("oracle", "SELECTION_CAP")]
+    kernel = ast.parse((Path(hallkernel.__file__).parent / "kernel.py").read_text(
+        encoding="utf-8"))
+    assert "_least_matching" not in {node.name for node in ast.walk(kernel)
+                                     if isinstance(node, ast.FunctionDef)}
