@@ -4,8 +4,9 @@ Subcommands: ``check``, ``partition``, ``kernel``, ``select``, ``enumerate``
 over mapping documents, and ``sudoku propagate`` / ``sudoku solve`` over
 81-character grid lines.  Exit codes: 0 success, 1 Hall violation /
 contradiction / unsolvable (with the witness printed), 2 parse or validity
-error (invalid UTF-8 included), 3 size cap exceeded.  A Sudoku batch gets one
-record per grid line and exits with the worst code over its lines.
+error (invalid UTF-8 included), 3 size cap exceeded, 141 (128 + SIGPIPE) the
+reader closed standard output early (nothing is written to stderr).  A Sudoku
+batch gets one record per grid line and exits with the worst code over its lines.
 
 Every subcommand returns ``(exit code, JSON payload, text lines)``; only
 :func:`main` chooses between the two output formats.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .mappings import FiniteMapping, InvalidMappingError, SizeCapError
@@ -303,10 +305,15 @@ def main(argv=None) -> int:
             UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SizeCapError) else 2
-    if args.format == "json":
-        print(json.dumps(payload))
-    elif lines:
-        print("\n".join(lines))
+    try:
+        if args.format == "json":
+            print(json.dumps(payload))
+        elif lines:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early, as ``| head`` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

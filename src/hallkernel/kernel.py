@@ -8,9 +8,9 @@ image within its block's residual image (what the earlier blocks can take is
 struck); when no selection exists, the kernel degenerates to all-empty images
 (a value, not an error -- the violation witness rides along as diagnostics).
 
-:func:`kernel_bits` reads it off one bitset :func:`hall_scan`, and
-:func:`iter_selections` walks its complete matchings, which are the
-selections; labels appear only in the public results.
+:func:`kernel_bits` reads it off one bitset :func:`hall_scan`;
+:func:`iter_selections` walks the images' complete matchings, which are the
+selections, with no scan.  Labels appear only in the public results.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .mappings import DomainError, FiniteMapping, Label, complement
+from .mappings import ENUMERATION_CAP, SizeCapError
 from .partition import (
     HallPartition,
     HallViolation,
@@ -163,10 +164,12 @@ def extract_selection(mapping: FiniteMapping) -> Selection | HallViolation:
     Least is lexicographic, over the domain in label order with values
     compared by codomain position: the first item of :func:`iter_selections`.
     """
-    kernel = kernel_bits(mapping.image_bits)
-    if isinstance(kernel, int):
-        return HallViolation(frozenset(mapping.x_labels_of(kernel)))
-    return next(_selections(mapping, kernel))
+    for selection in iter_selections(mapping):
+        return selection
+    witness = hall_scan(mapping.image_bits, mapping.full_x_bits)
+    if not isinstance(witness, int):
+        raise RuntimeError("the scan found blocks where no complete matching exists")
+    return HallViolation(frozenset(mapping.x_labels_of(witness)))
 
 
 def iter_selections(mapping: FiniteMapping):
@@ -175,10 +178,9 @@ def iter_selections(mapping: FiniteMapping):
     That is lexicographic order, as in :func:`extract_selection`; none on a
     Hall violation.  The work between two selections is polynomial (Uno 1997).
 
-    Proof sketch.  A selection picks from each kernel image, and distinct
-    kernel values, one per element, make a selection: the selections are the
-    complete matchings of the kernel.  The walk is depth first, each element
-    trying its untaken kernel values in ascending order.  With M a complete
+    Proof sketch.  By definition the selections are the complete matchings
+    of the images, so the kernel drops out.  The walk is depth first, each
+    element trying its untaken values in ascending order.  With M a complete
     matching where the earlier elements hold their picks, x can take v exactly
     when v is M(x), v is free, or v's owner reaches a free value or M(x) along
     alternating edges avoiding v and the taken values (Berge); shifting M
@@ -186,16 +188,13 @@ def iter_selections(mapping: FiniteMapping):
     elements it visited own all their untaken values: x can take none of the
     values visited, whatever M becomes, and drops them for good.
     """
-    kernel = kernel_bits(mapping.image_bits)
-    if not isinstance(kernel, int):
-        yield from _selections(mapping, kernel)
-
-
-def _selections(mapping, res):
-    # iter_selections' walk, over the complete matchings of images ``res``.
+    res = mapping.image_bits
+    if len(res) > ENUMERATION_CAP:  # the scan's cap and wording: one contract
+        raise SizeCapError(
+            f"partition scan over {len(res)} elements exceeds the cap of {ENUMERATION_CAP}")
     matching = complete_matching(res)
     if matching is None:
-        raise RuntimeError("the kernel has no complete matching")
+        return
     match, owner, matched = matching
     left = []  # the values each position before k has still to try
     k = taken = 0

@@ -147,12 +147,18 @@ def parse_grid(text: str) -> SudokuGrid:
                 raise GridError(
                     f"duplicate given {givens[i]} in {unit} at cell {ALL_CELLS[i]}")
             seen |= bit
-    return compute_markups(_grid(givens, ()))
+    return _grid(givens, _markups(givens))
 
 
 def compute_markups(grid: SudokuGrid) -> SudokuGrid:
     """Rebuild every unpopulated cell's candidates from the givens alone."""
-    givens, masks = _slots(SudokuGrid(grid.givens))
+    givens, _ = _slots(SudokuGrid(grid.givens))
+    return _grid(givens, _markups(givens))
+
+
+def _markups(givens: list) -> list[int]:
+    # Each open slot's mask of the digits no neighbour holds as a given.
+    masks = [0] * 81
     for i, digit in enumerate(givens):
         if digit:
             continue
@@ -163,7 +169,7 @@ def compute_markups(grid: SudokuGrid) -> SudokuGrid:
             raise Contradiction(f"cell {ALL_CELLS[i]} has no admissible digit",
                                 cells=(ALL_CELLS[i],))
         masks[i] = mask
-    return _grid(givens, masks)
+    return masks
 
 
 def unit_mapping(grid: SudokuGrid, unit: Unit) -> FiniteMapping:
@@ -322,10 +328,8 @@ def _solve_masks(givens: list, masks: list, memo: dict,
 
 def is_solved(grid: SudokuGrid) -> bool:
     """Complete, with every unit holding exactly the digits 1..9."""
-    if not grid.is_complete:
-        return False
-    return all({grid.givens[c] for c in unit.cells} == DIGITS
-               for unit in ALL_UNITS)
+    return grid.is_complete and all(
+        {grid.givens.get(c) for c in unit.cells} == DIGITS for unit in ALL_UNITS)
 
 
 def render(grid: SudokuGrid) -> str:

@@ -427,6 +427,21 @@ class TestInputDecoding:
         assert (from_stdin.returncode, from_stdin.stdout) == (0, from_file.stdout)
 
 
+def test_closed_pipe_exits_141_quietly(tmp_path):
+    # K8,8 has 8! = 40,320 selections, about 1.6 MB of text: far more than a
+    # pipe buffer holds, so the writer meets the closed pipe mid-output.
+    k88 = FiniteMapping.from_dict({i: range(8) for i in range(8)})
+    path = write(tmp_path, "k88.txt", serialize_mapping_document(k88))
+    with subprocess.Popen(
+            [sys.executable, "-m", "hallkernel", "enumerate", "--input", path],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline() == b"0->0 1->1 2->2 3->3 4->4 5->5 6->6 7->7\n"
+        child.stdout.close()
+        assert child.stderr.read() == b""
+        assert child.wait(timeout=60) == 141
+
+
 def _mapping_documents():
     # Every 3x3 mapping with and without its X:/Y: headers, 300 seeded random
     # mappings up to 7x7, and every document test_bad_documents rejects.

@@ -303,6 +303,30 @@ def test_iter_selections_size_cap():
         next(iter_selections(wide))
 
 
+def test_violator_above_the_cap_is_refused():
+    # The cap is checked before the matching that would find no selection.
+    pigeons = FiniteMapping.from_dict({i: {0} for i in range(25)})
+    with pytest.raises(SizeCapError, match="exceeds the cap of 24"):
+        extract_selection(pigeons)
+
+
+@pytest.mark.parametrize("f", [
+    M1, PERM3,
+    FiniteMapping.from_dict({i: {i, i + 1} for i in range(20)}),
+    FiniteMapping.from_dict({i: set(range(i + 1)) for i in range(20)}),
+], ids=["M1", "PERM3", "path20", "triangular20"])
+def test_selections_run_no_scan(f, monkeypatch):
+    expected = enumerate_selections(f, cap=len(f.x_labels))
+
+    def refuse(*args):
+        raise AssertionError("a selection of a Hall-satisfying mapping ran the scan")
+
+    monkeypatch.setattr("hallkernel.kernel.kernel_bits", refuse)
+    monkeypatch.setattr("hallkernel.kernel.hall_scan", refuse)
+    assert list(iter_selections(f)) == expected
+    assert extract_selection(f) == expected[0]
+
+
 def chained_blocks(rng, n, largest):
     """Images of ``n`` positions in blocks of 1 to ``largest`` positions.
 

@@ -16,6 +16,7 @@ from hallkernel.sudoku import (
     ROWS,
     Contradiction,
     GridError,
+    SudokuGrid,
     compute_markups,
     grid_line,
     is_solved,
@@ -110,6 +111,13 @@ class TestParseGrid:
         grid = parse_grid(canonical_grid_text())
         assert grid.is_complete
         assert is_solved(grid)
+
+    def test_missing_givens_without_candidates_are_not_solved(self):
+        # No candidates means complete to is_complete, but the givens fall short.
+        assert not is_solved(SudokuGrid())
+        full = parse_grid(canonical_grid_text())
+        del full.givens[(5, 5)]
+        assert not is_solved(full)
 
     def test_wrong_length(self):
         with pytest.raises(GridError):
