@@ -42,8 +42,8 @@ class DocumentError(ValueError):
 def parse_mapping_document(text: str) -> FiniteMapping:
     """Parse the text mapping format into a :class:`FiniteMapping`.
 
-    Checks only the document syntax and that no image line's element is left
-    out of an ``X:`` header; the mapping invariants come from
+    Checks only the document syntax; the mapping invariants, an image line
+    for an element an ``X:`` header leaves out included, come from
     :class:`FiniteMapping`, whose errors are raised as :class:`DocumentError`.
     X and Y without a header are taken in order of first appearance.
     """
@@ -76,9 +76,6 @@ def parse_mapping_document(text: str) -> FiniteMapping:
     if not entries:
         raise DocumentError("document declares no images")
     x_order = headers.get("X", list(entries))
-    for x in entries:
-        if x not in x_order:
-            raise DocumentError(f"{x!r} has an image line but is not in X")
     y_order = headers.get("Y")
     if y_order is None:
         y_order = dict.fromkeys(y for x in x_order for y in entries.get(x, ()))

@@ -86,7 +86,7 @@ def kernel_bits(image_bits) -> list[int] | int:
     Masks each image with its block's residual image from :func:`hall_scan`,
     which is the block's image less what the earlier blocks take.
     """
-    result = hall_scan(image_bits, (1 << len(image_bits)) - 1)
+    result = hall_scan(image_bits)
     if isinstance(result, int):
         return result
     kernel = list(image_bits)
@@ -139,7 +139,7 @@ def has_unique_selection(mapping: FiniteMapping) -> bool:
     Holds exactly when a Hall partition exists with as many blocks as the
     whole domain has image values; all kernel images are then singletons.
     """
-    result = hall_scan(mapping.image_bits, mapping.full_x_bits)
+    result = hall_scan(mapping.image_bits)
     if isinstance(result, int):
         return False
     total_image = mapping.image_bits_of(mapping.full_x_bits).bit_count()
@@ -166,7 +166,7 @@ def extract_selection(mapping: FiniteMapping) -> Selection | HallViolation:
     """
     for selection in iter_selections(mapping):
         return selection
-    witness = hall_scan(mapping.image_bits, mapping.full_x_bits)
+    witness = hall_scan(mapping.image_bits)
     if not isinstance(witness, int):
         raise RuntimeError("the scan found blocks where no complete matching exists")
     return HallViolation(frozenset(mapping.x_labels_of(witness)))

@@ -85,6 +85,9 @@ class FiniteMapping:
                         f"image of {x!r} contains {y!r}, which is not in the codomain")
                 b |= 1 << j
             bits.append(b)
+        if len(images) != len(x_labels):
+            extra = next(x for x in images if x not in x_index)
+            raise InvalidMappingError(f"{extra!r} has an image but is not in the domain")
         self.x_labels = x_labels
         self.y_labels = y_labels
         self.image_bits = tuple(bits)

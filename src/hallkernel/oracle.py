@@ -3,7 +3,7 @@
 Deliberately naive: selections are enumerated by depth-first assignment with
 nothing cleverer than a used-value set, and the Hall condition and the Hall
 scan's blocks are found by trying every subset of the domain in turn.  The
-module is independent of :mod:`.partition`'s scan, whose result types are all
+module is independent of :mod:`.partition`'s scan, whose violation type is all
 it takes from there, which minimizes the chance of a shared bug.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .mappings import FiniteMapping, SizeCapError
-from .partition import ExitKind, HallViolation
+from .partition import HallViolation
 from .kernel import KernelMapping, Selection
 
 SELECTION_CAP = 12
@@ -56,26 +56,24 @@ def enumerate_selections(mapping: FiniteMapping, *, cap: int = SELECTION_CAP,
     return found
 
 
-def oracle_kernel(mapping: FiniteMapping, *,
-                  cap: int = SELECTION_CAP) -> KernelMapping:
+def oracle_kernel(mapping: FiniteMapping) -> KernelMapping:
     """The kernel by definition: collect each element's values over all selections."""
-    selections = enumerate_selections(mapping, cap=cap)
+    selections = enumerate_selections(mapping)
     images = tuple([frozenset(s.values[i] for s in selections)
                     for i in range(len(mapping.x_labels))])
     return KernelMapping(mapping, images)
 
 
-def oracle_hall_check(mapping: FiniteMapping, *,
-                      cap: int = SUBSET_SCAN_CAP) -> HallViolation | None:
+def oracle_hall_check(mapping: FiniteMapping) -> HallViolation | None:
     """Scan all nonempty subsets for one whose image is too small.
 
     Returns the first violating subset in increasing-size, then lexicographic,
     order; ``None`` when the Hall condition holds.
     """
     xs = mapping.x_labels
-    if len(xs) > cap:
+    if len(xs) > SUBSET_SCAN_CAP:
         raise SizeCapError(
-            f"subset scan over {len(xs)} elements exceeds the cap of {cap}")
+            f"subset scan over {len(xs)} elements exceeds the cap of {SUBSET_SCAN_CAP}")
     images = {x: mapping.image(x) for x in xs}
     for size in range(1, len(xs) + 1):
         for combo in combinations(xs, size):
@@ -87,21 +85,23 @@ def oracle_hall_check(mapping: FiniteMapping, *,
     return None
 
 
-def oracle_hall_scan(image_bits, remaining: int, struck: int = 0):
+def oracle_hall_scan(image_bits):
     """What ``partition.hall_scan`` returns, found by plain enumeration.
 
-    Each step takes the (size, lex)-first subset of the positions left in
-    ``remaining`` whose image less ``struck`` has no more values than members,
-    or all of them if none has: the next block, or with the blocks before it
-    the witness bitset when its image is smaller.
+    Each step takes the (size, lex)-first subset of the positions left whose
+    image, less the values the blocks before it took, has no more values than
+    members, or all of them if none has: the next block, or with the blocks
+    before it the witness bitset when its image is smaller.  Returns
+    ``(block_bits, residual_bits)`` or that witness.
     """
-    positions = [i for i in range(remaining.bit_length()) if remaining >> i & 1]
+    positions = list(range(len(image_bits)))
     if len(positions) > SUBSET_SCAN_CAP:
         raise SizeCapError(
             f"subset scan over {len(positions)} elements exceeds the cap of "
             f"{SUBSET_SCAN_CAP}")
     blocks: list[int] = []
     residuals: list[int] = []
+    struck = 0
     while positions:
         subsets = (combo for size in range(1, len(positions) + 1)
                    for combo in combinations(positions, size))
@@ -113,11 +113,9 @@ def oracle_hall_scan(image_bits, remaining: int, struck: int = 0):
             return members | sum(blocks)  # the blocks are disjoint
         blocks.append(members)
         residuals.append(union)
-        if union.bit_count() > len(combo):
-            return tuple(blocks), tuple(residuals), ExitKind.LAST_BLOCK_NONCRITICAL
         struck |= union
         positions = [i for i in positions if i not in combo]
-    return tuple(blocks), tuple(residuals), ExitKind.LAST_BLOCK_CRITICAL
+    return tuple(blocks), tuple(residuals)
 
 
 def _image(image_bits, positions, struck):

@@ -7,12 +7,12 @@ possibly the last is critical there.  Such a decomposition exists exactly
 when the mapping satisfies the Hall condition (every subset's image is at
 least as large as the subset), and it is unique up to renumbering.
 
-:func:`hall_scan` finds the partition by scanning subsets of the remaining
-domain in increasing size (lexicographic within a size) and extracting the
-first critical set found as the next block.  A subset whose residual image is
-smaller than itself certifies a Hall-condition violation instead; the
-violation is returned as a value, never raised.  The scan runs on bitsets and
-applies the size cap; labels appear only in :func:`compute_hall_partition`
+:func:`hall_scan` finds the partition one block per step: the (size,
+lex)-first subset of what remains whose residual image is no larger than
+itself, or else the whole rest.  A smaller residual image certifies a
+Hall-condition violation instead, returned as a value, never raised.  The
+scan runs on bitsets and applies the size cap; labels appear only in
+:func:`compute_hall_partition`, which reads the exit kind off the last block,
 and :func:`check_hall`.
 
 A step with no hit of size 1 first counts, in one pass over its residual
@@ -21,8 +21,8 @@ A size s holds no hit when fewer than s images have at most s values, or
 when, three or fewer images left out, fewer than u - s of the u values in the
 union are held by at most m - s of the m images: the preemptive sets of Crook
 2009 read from both sides, a naked set of s cells against a hidden set of
-u - s digits.  Such sizes are skipped, and the whole step is a hit exactly
-when u <= m.  :func:`hall_scan` gives the proof.
+u - s digits.  Such sizes are skipped, and the whole step is the hit when no
+smaller size has one.  :func:`hall_scan` gives the proof.
 
 A step over more than :data:`MATCHING_CUTOFF` positions with no hit of size 1
 is finished from a maximum matching instead (Régin 1994, Dulmage--Mendelsohn
@@ -58,12 +58,12 @@ MATCHING_CUTOFF = 9
 
 
 class ExitKind(enum.Enum):
-    """How the block scan terminated.
+    """How the block scan terminated: a property of the last block alone.
 
-    ``LAST_BLOCK_CRITICAL``: the final block was itself a critical set and
-    exhausted the domain; the total image is exactly as large as the domain.
+    ``LAST_BLOCK_CRITICAL``: the last block's residual image is exactly as
+    large as the block, and the total image exactly as large as the domain.
     ``LAST_BLOCK_NONCRITICAL``: no critical set remained, so the rest of the
-    domain became the final block; the total image is strictly larger.
+    domain became the last block; both images are strictly larger.
     """
 
     LAST_BLOCK_CRITICAL = "LastBlockCritical"
@@ -91,36 +91,37 @@ class HallViolation:
     witness: frozenset
 
 
-def hall_scan(image_bits, remaining: int, struck: int = 0):
-    """Scan the domain positions in ``remaining``, values in ``struck`` taken.
+def hall_scan(image_bits):
+    """The Hall blocks of the positions of ``image_bits``, or a witness.
 
-    Subsets are tried in increasing size, lexicographic within a size; the
-    first whose residual image is no larger than itself decides the step.  An
-    equal image makes it the next block (non-reducible in the running residual
-    mapping); a smaller one makes it, with the blocks taken so far, a witness.
-    Each size is walked depth first in lexicographic order with the running
-    union of the chosen images, and a partial subset whose union already holds
-    more values than the size is cut with everything extending it: unions only
-    grow, so no hit lies below it, and the first combination the walk
-    completes is the lexicographically first hit of that size.  Sizes below
-    the smallest residual image are cut at the first position.  Returns
-    ``(block_bits, residual_bits, exit_kind)``, or the witness bitset.  More
-    than ``ENUMERATION_CAP`` positions raise :class:`SizeCapError` up front.
+    Each step ends in one hit: the first subset of the positions left, in
+    increasing size and lexicographic within a size, whose residual image is
+    no larger than itself, or else all of them.  A smaller image makes it,
+    with the blocks taken so far, a witness; any other the next block
+    (non-reducible in the running residual mapping).  Each size is walked
+    depth first in lexicographic order with the running union of the chosen
+    images, and a partial subset whose union already holds more values than
+    the size is cut with everything extending it: unions only grow, so no hit
+    lies below it, and the first combination the walk completes is the
+    lexicographically first hit of that size.  Sizes below the smallest
+    residual image are cut at the first position.  Returns ``(block_bits,
+    residual_bits)``, or the witness bitset; more than ``ENUMERATION_CAP``
+    positions raise :class:`SizeCapError` up front.
 
     A step over m positions whose size-1 pass has no hit makes one pass over
     the residual images for their value counts, their union U of u values, and
     bit-sliced sets of the values held by at least 2, 3 and 4 positions.  It
     then skips each size s in 2..m-1 where fewer than s positions have at most
     s values, or where m - s <= 3 and fewer than u - s values are held by at
-    most m - s positions, and takes the whole step as the hit of size m
-    exactly when u <= m.  A skipped size holds no hit: take a hit S, |S| = s
-    and |N'(S)| <= s.  Every position of S has at most s values, so at least s
-    positions do.  T = U less N'(S) has at least u - s values, and no position
-    of S holds any of them, so each is held by at most m - s positions.  Both
-    counts hold at s, so s is not skipped.  Sizes are still tried in
-    increasing order and each walked size by the same walk, so the (size,
-    lex)-first hit, witness included, is the one the plain enumeration of
-    :func:`.oracle.oracle_hall_scan` finds.
+    most m - s positions, and takes the whole step, of size m and union U, as
+    the hit when no smaller size has one.  A skipped size holds no hit: take a
+    hit S, |S| = s and |N'(S)| <= s.  Every position of S has at most s
+    values, so at least s positions do.  T = U less N'(S) has at least u - s
+    values, and no position of S holds any of them, so each is held by at
+    most m - s positions.  Both counts hold at s, so s is not skipped.  Sizes
+    are still tried in increasing order and each walked size by the same
+    walk, so the (size, lex)-first hit, witness included, is the one the
+    plain enumeration of :func:`.oracle.oracle_hall_scan` finds.
 
     A step over more than :data:`MATCHING_CUTOFF` positions whose size-1 pass
     has no hit takes a maximum matching of the residual images instead of going
@@ -149,15 +150,15 @@ def hall_scan(image_bits, remaining: int, struck: int = 0):
     going to the least position: the smallest closure, within what remains, of
     a remaining position, which is how :func:`_matching_completion` finds it.
     """
-    n = remaining.bit_count()
+    n = len(image_bits)
     if n > ENUMERATION_CAP:
         raise SizeCapError(
             f"partition scan over {n} elements exceeds the cap of {ENUMERATION_CAP}")
     matching = True
-    start_remaining = remaining
+    full = remaining = (1 << n) - 1
+    struck = 0
     block_bits: list[int] = []
     residual_bits: list[int] = []
-    exit_kind = ExitKind.LAST_BLOCK_CRITICAL
     while remaining:
         indices = list(bit_indices(remaining))
         res = [image_bits[i] & ~struck for i in indices]
@@ -166,34 +167,24 @@ def hall_scan(image_bits, remaining: int, struck: int = 0):
             if matching and len(res) > MATCHING_CUTOFF:
                 rest = _matching_completion(indices, res)
                 if rest is not None:
-                    return (tuple(block_bits + rest[0]),
-                            tuple(residual_bits + rest[1]), rest[2])
+                    return tuple(block_bits + rest[0]), tuple(residual_bits + rest[1])
                 matching = False
             hit = _first_fit_counted(res)
-        if hit is None:
-            # No critical set among what remains: it all becomes the last block.
-            img = 0
-            for b in res:
-                img |= b
-            block_bits.append(remaining)
-            residual_bits.append(img)
-            exit_kind = ExitKind.LAST_BLOCK_NONCRITICAL
-            break
         combo, img = hit
         wbits = 0
         for k in combo:
             wbits |= 1 << indices[k]
         if img.bit_count() < len(combo):
-            return wbits | (start_remaining & ~remaining)
+            return wbits | full & ~remaining
         block_bits.append(wbits)
         residual_bits.append(img)
         struck |= img
         remaining &= ~wbits
-    return tuple(block_bits), tuple(residual_bits), exit_kind
+    return tuple(block_bits), tuple(residual_bits)
 
 
 def _matching_completion(indices, res):
-    # The blocks left in a step, as ``(block_bits, residual_bits, exit_kind)``
+    # The blocks left in a step, as ``(block_bits, residual_bits)``
     # over the domain positions ``indices``, from a maximum matching of their
     # residual images ``res``; ``None`` when it leaves a position uncovered.
     # Local position k stands for ``indices[k]``; hall_scan's docstring gives
@@ -241,16 +232,12 @@ def _matching_completion(indices, res):
                 wbits |= 1 << indices[q]
         blocks.append(wbits)
         residuals.append(img)
-    if not last:
-        return blocks, residuals, ExitKind.LAST_BLOCK_CRITICAL
-    wbits = 0
-    for k in bit_indices(last):
-        wbits |= 1 << indices[k]
-    # Every unmatched value lies in the image of a position of ``last``, so
-    # ``reach`` is that image less the values matched into the other blocks.
-    blocks.append(wbits)
-    residuals.append(reach)
-    return blocks, residuals, ExitKind.LAST_BLOCK_NONCRITICAL
+    if last:
+        # Every unmatched value lies in the image of a position of ``last``, so
+        # ``reach`` is that image less the values matched into the other blocks.
+        blocks.append(sum([1 << indices[k] for k in bit_indices(last)]))
+        residuals.append(reach)
+    return blocks, residuals
 
 
 def complete_matching(res):
@@ -316,11 +303,11 @@ def augment(res, match, owner, start, seen, goal):
 
 
 def _first_fit_counted(res):
-    # The (size, lex)-first hit of size 2 or more, as ``(combo, union)``;
-    # ``None`` if none.  Sizes the two counts of hall_scan's docstring rule
-    # out are skipped, and the last size is read off the union.  ``held<j>``
-    # holds the values held by at least j positions, bit-sliced, and
-    # ``few[k]`` counts the values held by at most k.
+    # The (size, lex)-first hit of size 2 or more, as ``(combo, union)``, or
+    # else the whole step with its union.  Sizes the two counts of hall_scan's
+    # docstring rule out are skipped, and the last size is read off the union.
+    # ``held<j>`` holds the values held by at least j positions, bit-sliced,
+    # and ``few[k]`` counts the values held by at most k.
     m = len(res)
     counts = sorted([b.bit_count() for b in res])
     union = held2 = held3 = held4 = 0
@@ -341,7 +328,7 @@ def _first_fit_counted(res):
         hit = _first_fit_pruned(res, size)
         if hit is not None:
             return hit
-    return (tuple(range(m)), union) if u <= m else None
+    return tuple(range(m)), union
 
 
 def _first_fit_pruned(res, size):
@@ -378,22 +365,25 @@ def compute_hall_partition(mapping: FiniteMapping) -> HallPartition | HallViolat
     """Compute the Hall partition of a mapping, or a violation witness.
 
     Runs :func:`hall_scan` over the whole domain and turns its bitsets into
-    label sets.
+    label sets.  The exit kind is read off the last block: critical exactly
+    when its residual image has as many values as it has members.
     """
-    result = hall_scan(mapping.image_bits, mapping.full_x_bits)
+    result = hall_scan(mapping.image_bits)
     if isinstance(result, int):
         return HallViolation(frozenset(mapping.x_labels_of(result)))
-    block_bits, residual_bits, exit_kind = result
+    block_bits, residual_bits = result
+    critical = residual_bits[-1].bit_count() == block_bits[-1].bit_count()
     return HallPartition(
         blocks=tuple([frozenset(mapping.x_labels_of(b)) for b in block_bits]),
         residual_images=tuple([frozenset(mapping.y_labels_of(r)) for r in residual_bits]),
-        exit_kind=exit_kind,
+        exit_kind=(ExitKind.LAST_BLOCK_CRITICAL if critical
+                   else ExitKind.LAST_BLOCK_NONCRITICAL),
     )
 
 
 def check_hall(mapping: FiniteMapping) -> HallViolation | None:
     """Return a violation witness if the Hall condition fails, else ``None``."""
-    result = hall_scan(mapping.image_bits, mapping.full_x_bits)
+    result = hall_scan(mapping.image_bits)
     if isinstance(result, int):
         return HallViolation(frozenset(mapping.x_labels_of(result)))
     return None

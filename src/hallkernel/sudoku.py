@@ -203,15 +203,24 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
 
 
 def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
-    # The grid's givens and candidate masks as 81-slot lists.  An open cell
-    # with no candidate has no mask to hold, so it is the contradiction here.
+    # The grid's givens and candidate masks as 81-slot lists, each given's
+    # digit struck from its neighbours' masks.  Two neighbouring givens with
+    # one digit, or an open cell left with no candidate, contradict here.
     givens = [0] * 81
     masks = [0] * 81
-    for cell, digit in grid.givens.items():
-        givens[_SLOT_OF[cell]] = digit
     for cell, digits in grid.candidates.items():
-        masks[_SLOT_OF[cell]] = mask = sum(1 << d for d in digits)
-        if not mask:
+        masks[_SLOT_OF[cell]] = sum(1 << d for d in digits)
+    for cell, digit in grid.givens.items():
+        i = _SLOT_OF[cell]
+        givens[i] = digit
+        strike = ~(1 << digit)
+        for j in _NEIGHBOR_SLOTS[i]:
+            if givens[j] == digit:
+                raise Contradiction(f"cells {ALL_CELLS[j]} and {cell} both hold {digit}",
+                                    cells=(ALL_CELLS[j], cell))
+            masks[j] &= strike
+    for cell in grid.candidates:
+        if not masks[_SLOT_OF[cell]]:
             raise Contradiction(f"cell {cell} has no admissible digit", cells=(cell,))
     return givens, masks
 

@@ -73,6 +73,12 @@ class TestAlldifferentKernel:
     def test_permutation(self):
         assert alldifferent_kernel(PERM3).images_by_label() == PERM3.images_by_label()
 
+    def test_image_of_one_element(self):
+        kern = alldifferent_kernel(M1)
+        assert kern.image(3) == {3}
+        with pytest.raises(DomainError, match="4 is not in the domain"):
+            kern.image(4)
+
 
 class TestIsAlldifferent:
     def test_examples(self):

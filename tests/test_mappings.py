@@ -47,6 +47,10 @@ class TestConstruction:
         with pytest.raises(InvalidMappingError):
             FiniteMapping((1, 2), (1,), {1: {1}})
 
+    def test_image_outside_the_domain_rejected(self):
+        with pytest.raises(InvalidMappingError, match="2 has an image but is not in the domain"):
+            FiniteMapping((1,), (1,), {1: {1}, 2: {1}})
+
     def test_equality_is_structural(self):
         again = FiniteMapping.from_dict({1: [2, 1], 2: {1, 2}, 3: {1, 2, 3}})
         assert again == M1

@@ -56,11 +56,11 @@ def package_imports(filename):
 
 def test_oracle_shares_nothing_with_the_scan():
     # The oracle is the independent reference: from ``partition`` it takes the
-    # result types only, and it uses no package module's private helpers.
+    # violation type only, and it uses no package module's private helpers.
     imported = package_imports("oracle.py")
     assert imported, "oracle.py imports nothing from the package"
     assert {name for module, name in imported if module == "partition"} <= {
-        "ExitKind", "HallViolation"}
+        "HallViolation"}
     assert [name for _, name in imported if name.startswith("_")] == []
 
 

@@ -66,9 +66,10 @@ class TestComputeHallPartition:
 
 
 def assert_cut_agrees(image_bits, remaining, struck=0):
-    """The scan returns exactly what the oracle's plain enumeration returns."""
-    assert hall_scan(image_bits, remaining, struck) == \
-        oracle_hall_scan(image_bits, remaining, struck)
+    """The scan of the positions in ``remaining``, values in ``struck`` taken,
+    returns exactly what the oracle's plain enumeration returns."""
+    images = [b & ~struck for i, b in enumerate(image_bits) if remaining >> i & 1]
+    assert hall_scan(images) == oracle_hall_scan(images)
 
 
 def random_masks(rng, n, width):
@@ -291,7 +292,7 @@ class TestMatchingCompletion:
                 corpus = [path_bits(n), cycle_bits(n), triangular_bits(n), shuffled,
                           *(block_dag_bits(rng, n) for _ in range(6))]
                 for bits in corpus:
-                    assert not isinstance(hall_scan(bits, (1 << n) - 1), int)
+                    assert not isinstance(hall_scan(bits), int)
                 # Dense images mostly, not always, satisfy the Hall condition.
                 for bits in corpus + [dense_bits(rng, n) for _ in range(4)]:
                     assert_cut_agrees(bits, (1 << n) - 1)
@@ -304,7 +305,7 @@ class TestMatchingCompletion:
             for n in range(4, 15):
                 for _ in range(4):
                     bits = violating_bits(rng, n)
-                    assert isinstance(hall_scan(bits, (1 << n) - 1), int)
+                    assert isinstance(hall_scan(bits), int)
                     assert_cut_agrees(bits, (1 << n) - 1)
                     assert_cut_agrees(bits, *random_masks(rng, n, 2 * n + 2))
                 sparse = [sum(1 << y for y in range(n) if rng.random() < 0.2)
@@ -322,7 +323,7 @@ class TestMatchingCompletion:
         # leaves one without, so the scan does not match again.
         bits = [0b11, 0b11, *(0b11100 for _ in range(4))]
         with completion_everywhere() as counts:
-            assert hall_scan(bits, 0b111111) == 0b111111
+            assert hall_scan(bits) == 0b111111
         assert counts == {"calls": 1, "uncovered": 1}
 
 
@@ -421,6 +422,15 @@ class TestVerifyPartition:
             residual_images=(frozenset({1, 2}), frozenset({1, 2}), frozenset({3})),
             exit_kind=ExitKind.LAST_BLOCK_CRITICAL)
         assert not verify_partition(M1, bogus)
+
+    def test_rejects_a_coarser_block(self):
+        # One block {1, 2} passes every clause but non-reducibility: {1} is
+        # critical inside it, and the Hall partition has {1} and {2}.
+        f = FiniteMapping.from_dict({1: {1}, 2: {2}})
+        coarse = HallPartition((frozenset({1, 2}),), (frozenset({1, 2}),),
+                               ExitKind.LAST_BLOCK_CRITICAL)
+        assert not verify_partition(f, coarse)
+        assert verify_partition(f, compute_hall_partition(f))
 
     def test_rejects_non_partitions(self):
         good = compute_hall_partition(M1)

@@ -206,6 +206,26 @@ class TestPropagate:
         assert (5, 5) in info.value.cells
         assert solve(grid) is None
 
+    def test_candidates_lose_their_neighbours_givens(self):
+        # A hand-built grid may leave a neighbouring given's digit among a
+        # cell's candidates; parse_grid never does.
+        grid = SudokuGrid({(1, 1): 5}, {c: set(range(1, 10)) for c in ALL_CELLS[1:]})
+        assert 5 not in propagate(grid, max_sweeps=0).candidates[(1, 2)]
+        solution = solve(grid)
+        assert is_solved(solution) and solution.givens[(1, 1)] == 5
+        emptied = SudokuGrid({(1, 1): 5}, {(1, 2): {5}})
+        with pytest.raises(Contradiction, match="no admissible digit") as info:
+            propagate(emptied)
+        assert info.value.cells == {(1, 2)}
+        assert solve(emptied) is None
+
+    def test_neighbouring_givens_with_one_digit_are_a_contradiction(self):
+        grid = SudokuGrid({(1, 1): 5, (2, 3): 5}, {(9, 9): {1, 2}})
+        with pytest.raises(Contradiction) as info:
+            propagate(grid)
+        assert info.value.cells == {(1, 1), (2, 3)}
+        assert solve(grid) is None
+
     def test_input_grid_is_not_mutated(self):
         grid = parse_grid(naked_pair_text())
         before = copy.deepcopy(grid)
