@@ -27,9 +27,9 @@ smaller size has one.  :func:`hall_scan` gives the proof.
 A step over more than :data:`MATCHING_CUTOFF` positions with no hit of size 1
 is finished from a maximum matching instead (Régin 1994, Dulmage--Mendelsohn
 1958): when the matching covers every position, the remaining blocks, in the
-scan's order, are read off its alternating digraph in polynomial time; when it
-does not, the Hall condition fails and the scan goes on to find its own
-witness.  :func:`hall_scan` gives the argument.
+scan's order, are read off one transitive closure of its alternating digraph
+in polynomial time; when it does not, the Hall condition fails and the scan
+goes on to find its own witness.  :func:`hall_scan` gives the argument.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from .mappings import (
     ENUMERATION_CAP,
     FiniteMapping,
-    DomainError,
     SizeCapError,
     bit_indices,
     image_of_set,
@@ -149,6 +148,10 @@ def hall_scan(image_bits):
     block is the smallest SCC all of whose successors are taken, ties again
     going to the least position: the smallest closure, within what remains, of
     a remaining position, which is how :func:`_matching_completion` finds it.
+    A tight position reaches no position of the last block, and the blocks
+    taken are closed under successors, so that closure is the position's
+    whole closure less the values taken, and the last block's residual image
+    is its members' images less them.
     """
     n = len(image_bits)
     if n > ENUMERATION_CAP:
@@ -184,59 +187,44 @@ def hall_scan(image_bits):
 
 
 def _matching_completion(indices, res):
-    # The blocks left in a step, as ``(block_bits, residual_bits)``
-    # over the domain positions ``indices``, from a maximum matching of their
-    # residual images ``res``; ``None`` when it leaves a position uncovered.
-    # Local position k stands for ``indices[k]``; hall_scan's docstring gives
-    # the argument.
+    # The blocks left in a step, as ``(block_bits, residual_bits)`` over the
+    # domain positions ``indices``, from a complete matching of their residual
+    # images ``res``; ``None`` when there is none.  Local position k stands for
+    # ``indices[k]``; hall_scan's docstring gives the argument.
     matching = complete_matching(res)
     if matching is None:
         return None
     match, _, matched = matching
-    n = len(res)
-    # Positions reaching an unmatched value; ``left`` keeps the others.
-    reach = 0
-    for b in res:
-        reach |= b
-    reach &= ~matched
-    left = (1 << n) - 1
-    grown = bool(reach)
-    while grown:
-        grown = False
-        for k in bit_indices(left):
-            if res[k] & reach:
-                left ^= 1 << k
-                reach |= match[k]
-                grown = True
-    # ``closure[k]``: the values matched into the positions k reaches, its own
-    # included (Warshall on bitsets); ``live`` holds those of ``left``.
-    closure = [res[k] if left >> k & 1 else 0 for k in range(n)]
-    live = 0
-    for k in bit_indices(left):
-        bit = match[k]
-        live |= bit
-        ck = closure[k]
-        closure = [c | ck if c & bit else c for c in closure]
-    last = ((1 << n) - 1) & ~left
+    # ``closure[k]``: the images of the positions k reaches along alternating
+    # edges, its own included (Warshall on bitsets); k reaches j when it holds
+    # ``match[j]``.
+    closure = res
+    for j, bit in enumerate(match):
+        cj = closure[j]
+        closure = [c | cj if c & bit else c for c in closure]
+    # Positions reaching an unmatched value form the last block, the others
+    # are tight; ``taken`` holds the values of the tight blocks read off.
+    tight = []
+    last = last_img = taken = 0
+    for k, c in enumerate(closure):
+        if c & ~matched:
+            last |= 1 << indices[k]
+            last_img |= res[k]
+        else:
+            tight.append(k)
     blocks: list[int] = []
     residuals: list[int] = []
-    while left:
-        # The smallest closure is a sink SCC, and its least position comes first.
-        _, k = min(((closure[k] & live).bit_count(), k) for k in bit_indices(left))
-        img = closure[k] & live
-        live &= ~img
-        wbits = 0
-        for q in bit_indices(left):
-            if match[q] & img:
-                left ^= 1 << q
-                wbits |= 1 << indices[q]
-        blocks.append(wbits)
+    while tight:
+        # The smallest closure left is a sink SCC; its least position comes first.
+        _, k = min([((closure[k] & ~taken).bit_count(), k) for k in tight])
+        img = closure[k] & ~taken
+        taken |= img
+        blocks.append(sum([1 << indices[q] for q in tight if match[q] & img]))
         residuals.append(img)
+        tight = [q for q in tight if not match[q] & img]
     if last:
-        # Every unmatched value lies in the image of a position of ``last``, so
-        # ``reach`` is that image less the values matched into the other blocks.
-        blocks.append(sum([1 << indices[k] for k in bit_indices(last)]))
-        residuals.append(reach)
+        blocks.append(last)
+        residuals.append(last_img & ~taken)
     return blocks, residuals
 
 
@@ -417,23 +405,20 @@ def verify_partition(mapping: FiniteMapping, partition: HallPartition) -> bool:
         return False
     current = mapping
     last_critical = None
-    try:
-        for i, block in enumerate(blocks):
-            if partition.residual_images[i] != image_of_set(current, block):
+    for i, block in enumerate(blocks):
+        if partition.residual_images[i] != image_of_set(current, block):
+            return False
+        if any(not current.image(x) for x in block):
+            return False
+        if not is_non_reducible(current, block):
+            return False
+        critical = is_critical(current, block)
+        if i < len(blocks) - 1:
+            if not critical:
                 return False
-            if any(not current.image(x) for x in block):
-                return False
-            if not is_non_reducible(current, block):
-                return False
-            critical = is_critical(current, block)
-            if i < len(blocks) - 1:
-                if not critical:
-                    return False
-                current = residual(current, block)
-            else:
-                last_critical = critical
-    except DomainError:
-        return False
+            current = residual(current, block)
+        else:
+            last_critical = critical
     expected = (ExitKind.LAST_BLOCK_CRITICAL if last_critical
                 else ExitKind.LAST_BLOCK_NONCRITICAL)
     return partition.exit_kind is expected

@@ -204,13 +204,24 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
 
 def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
     # The grid's givens and candidate masks as 81-slot lists, each given's
-    # digit struck from its neighbours' masks.  Two neighbouring givens with
-    # one digit, or an open cell left with no candidate, contradict here.
+    # digit struck from its neighbours' masks.  A cell off the grid, a digit
+    # outside 1..9 or a cell with both a given and candidates is a GridError;
+    # two neighbouring givens with one digit, or an open cell left with no
+    # candidate, contradict.
+    for cell in (*grid.candidates, *grid.givens):
+        if cell not in _SLOT_OF:
+            raise GridError(f"cell {cell!r} is not on the grid")
     givens = [0] * 81
     masks = [0] * 81
     for cell, digits in grid.candidates.items():
+        if not DIGITS.issuperset(digits):
+            raise GridError(f"cell {cell} has candidates outside 1..9: {digits!r}")
         masks[_SLOT_OF[cell]] = sum(1 << d for d in digits)
     for cell, digit in grid.givens.items():
+        if digit not in DIGITS:
+            raise GridError(f"cell {cell} has given {digit!r}, not a digit 1..9")
+        if cell in grid.candidates:
+            raise GridError(f"cell {cell} has both a given and candidates")
         i = _SLOT_OF[cell]
         givens[i] = digit
         strike = ~(1 << digit)
@@ -304,11 +315,13 @@ def solve(grid: SudokuGrid) -> SudokuGrid | None:
     digits in ascending order and propagating after each tentative
     assignment.  The search runs on cell slots and builds the solution grid
     once, at the end.  Unit kernels are memoised for the duration of one
-    call, at most ``KERNEL_MEMO_CAP`` of them at a time.
+    call, at most ``KERNEL_MEMO_CAP`` of them at a time.  A hand-built grid
+    that is not a grid of digits 1..9 raises :class:`GridError`, as in
+    :func:`propagate`.
     """
     try:
         givens = _solve_masks(*_slots(grid), {})
-    except Contradiction:  # from _slots: an open cell without candidates
+    except Contradiction:  # from _slots: clashing givens or a cell left empty
         return None
     return None if givens is None else _grid(givens, ())
 

@@ -302,6 +302,11 @@ class TestSudokuCommands:
         assert code == 2
         assert "error:" in err
 
+    def test_whitespace_only_input_has_no_grid(self, capsys, monkeypatch):
+        code, out, err = run(capsys, ["sudoku", "solve"], stdin=" \n\t\n",
+                             monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", "error: no grid in input\n")
+
     @pytest.mark.parametrize("command", ["solve", "propagate"])
     def test_batch_reports_every_line(self, capsys, tmp_path, command):
         text = canonical_grid_text()

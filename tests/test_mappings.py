@@ -25,6 +25,10 @@ class TestConstruction:
         assert M1.y_labels == (1, 2, 3)
         assert M1.image(3) == {1, 2, 3}
 
+    def test_unsortable_labels_keep_first_appearance_order(self):
+        f = FiniteMapping.from_dict({1: ["b", 2], 2: [2, "a"]})
+        assert f.y_labels == ("b", 2, "a")
+
     def test_explicit_y_order(self):
         f = FiniteMapping.from_dict({1: {2}}, y_order=(3, 2, 1))
         assert f.y_labels == (3, 2, 1)
@@ -50,6 +54,10 @@ class TestConstruction:
     def test_image_outside_the_domain_rejected(self):
         with pytest.raises(InvalidMappingError, match="2 has an image but is not in the domain"):
             FiniteMapping((1,), (1,), {1: {1}, 2: {1}})
+
+    def test_repr_shows_an_empty_image(self):
+        f = FiniteMapping.from_dict({1: set(), 2: {3}})
+        assert repr(f) == "FiniteMapping({1: {}, 2: {3}})"
 
     def test_equality_is_structural(self):
         again = FiniteMapping.from_dict({1: [2, 1], 2: {1, 2}, 3: {1, 2, 3}})

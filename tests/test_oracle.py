@@ -5,6 +5,7 @@ from hallkernel import FiniteMapping, SizeCapError, check_hall
 from hallkernel.oracle import (
     enumerate_selections,
     oracle_hall_check,
+    oracle_hall_scan,
     oracle_kernel,
 )
 
@@ -71,6 +72,8 @@ class TestOracleHallCheck:
         wide = FiniteMapping.from_dict({i: {i} for i in range(21)})
         with pytest.raises(SizeCapError):
             oracle_hall_check(wide)
+        with pytest.raises(SizeCapError, match="subset scan over 21 elements"):
+            oracle_hall_scan(wide.image_bits)
 
 
 @given(mappings())

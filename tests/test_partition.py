@@ -445,6 +445,25 @@ class TestVerifyPartition:
         pigeon = FiniteMapping.from_dict({1: {1}, 2: {1}})
         assert not verify_partition(pigeon, compute_hall_partition(pigeon))
 
+    def test_rejects_more_residuals_than_blocks(self):
+        good = compute_hall_partition(M1)
+        extra = HallPartition(good.blocks, good.residual_images + (frozenset(),),
+                              good.exit_kind)
+        assert not verify_partition(M1, extra)
+
+    def test_rejects_an_empty_block(self):
+        good = compute_hall_partition(M1)
+        padded = HallPartition((frozenset(),) + good.blocks,
+                               (frozenset(),) + good.residual_images, good.exit_kind)
+        assert not verify_partition(M1, padded)
+
+    def test_rejects_an_element_with_an_empty_residual_image(self):
+        # {1} is critical, and it strikes the only value 2 can take.
+        pigeon = FiniteMapping.from_dict({1: {1}, 2: {1}})
+        split = HallPartition((frozenset({1}), frozenset({2})),
+                              (frozenset({1}), frozenset()), ExitKind.LAST_BLOCK_CRITICAL)
+        assert not verify_partition(pigeon, split)
+
     def test_accepts_valid_alternative_orderings(self):
         # Independent blocks (disjoint images) may appear in either order.
         f = FiniteMapping.from_dict(

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -226,6 +227,27 @@ class TestPropagate:
         assert info.value.cells == {(1, 1), (2, 3)}
         assert solve(grid) is None
 
+    @pytest.mark.parametrize("cell, given, candidates", [
+        ((1, 1), 12, None),
+        ((1, 1), 0, None),
+        ((1, 1), None, {10}),
+        ((1, 1), None, {0, 5}),
+        ((0, 0), None, {1}),
+        ((1, 1), 5, {6}),
+    ], ids=["given-12", "given-0", "candidates-10", "candidates-0-5", "cell-off-the-grid",
+            "given-and-candidates"])
+    def test_impossible_hand_built_cell_is_a_grid_error(self, cell, given, candidates):
+        # parse_grid never builds these; propagate and solve must name the cell
+        # rather than return a grid that breaks it or fail somewhere inside.
+        grid = SudokuGrid({}, {c: set(range(1, 10)) for c in ALL_CELLS if c != cell})
+        if given is not None:
+            grid.givens[cell] = given
+        if candidates is not None:
+            grid.candidates[cell] = candidates
+        for call in (propagate, solve):
+            with pytest.raises(GridError, match=re.escape(f"cell {cell} ")):
+                call(grid)
+
     def test_input_grid_is_not_mutated(self):
         grid = parse_grid(naked_pair_text())
         before = copy.deepcopy(grid)
@@ -397,6 +419,10 @@ class TestRendering:
         assert parse_grid(grid_line(grid)) == grid
         assert parse_grid(render(grid).replace("|", " ").replace("-", " ")
                           .replace("+", " ")) == grid
+
+    def test_str_is_render(self):
+        grid = parse_grid(naked_pair_text())
+        assert str(grid) == render(grid)
 
     def test_render_shape(self):
         lines = render(parse_grid("." * 81)).splitlines()
