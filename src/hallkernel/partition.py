@@ -13,7 +13,9 @@ itself, or else the whole rest.  A smaller residual image certifies a
 Hall-condition violation instead, returned as a value, never raised.  The
 scan runs on bitsets and applies the size cap; labels appear only in
 :func:`compute_hall_partition`, which reads the exit kind off the last block,
-and :func:`check_hall`.
+and :func:`check_hall`.  A one-element block is peeled in place from the lists
+of positions and images the scan carries from step to step, so a forced chain
+builds no list per step.
 
 A step with no hit of size 1 first counts, in one pass over its residual
 images, how many values each image has and how many images hold each value.
@@ -41,7 +43,6 @@ from .mappings import (
     ENUMERATION_CAP,
     FiniteMapping,
     SizeCapError,
-    bit_indices,
     image_of_set,
     is_critical,
     is_non_reducible,
@@ -107,6 +108,15 @@ def hall_scan(image_bits):
     residual_bits)``, or the witness bitset; more than ``ENUMERATION_CAP``
     positions raise :class:`SizeCapError` up front.
 
+    The positions left and their raw images are carried from step to step in
+    two lists, with the positions taken into blocks and the values struck by
+    them as two bitsets.  Size 1 is tried inline: the first image left with
+    at most one value once the struck values are masked out is the hit, an
+    empty one a witness with the blocks taken, and a one-value one is deleted
+    from both lists.  So a chain of one-element blocks builds no list; only a
+    step with no hit of size 1 builds its residual images for the walks
+    below, and a hit of several positions rebuilds the two lists.
+
     A step over m positions whose size-1 pass has no hit makes one pass over
     the residual images for their value counts, their union U of u values, and
     bit-sliced sets of the values held by at least 2, 3 and 4 positions.  It
@@ -158,31 +168,44 @@ def hall_scan(image_bits):
         raise SizeCapError(
             f"partition scan over {n} elements exceeds the cap of {ENUMERATION_CAP}")
     matching = True
-    full = remaining = (1 << n) - 1
-    struck = 0
+    indices = list(range(n))
+    images = list(image_bits)
+    taken = struck = 0
     block_bits: list[int] = []
     residual_bits: list[int] = []
-    while remaining:
-        indices = list(bit_indices(remaining))
-        res = [image_bits[i] & ~struck for i in indices]
-        hit = _first_fit_pruned(res, 1)
-        if hit is None:
+    while indices:
+        keep = ~struck
+        for k, b in enumerate(images):
+            b &= keep
+            if b & (b - 1) == 0:
+                wbits = 1 << indices[k]
+                if not b:
+                    return wbits | taken
+                block_bits.append(wbits)
+                residual_bits.append(b)
+                taken |= wbits
+                struck |= b
+                del indices[k], images[k]
+                break
+        else:
+            res = [b & keep for b in images]
             if matching and len(res) > MATCHING_CUTOFF:
                 rest = _matching_completion(indices, res)
                 if rest is not None:
                     return tuple(block_bits + rest[0]), tuple(residual_bits + rest[1])
                 matching = False
-            hit = _first_fit_counted(res)
-        combo, img = hit
-        wbits = 0
-        for k in combo:
-            wbits |= 1 << indices[k]
-        if img.bit_count() < len(combo):
-            return wbits | full & ~remaining
-        block_bits.append(wbits)
-        residual_bits.append(img)
-        struck |= img
-        remaining &= ~wbits
+            combo, img = _first_fit_counted(res)
+            wbits = 0
+            for k in combo:
+                wbits |= 1 << indices[k]
+            if img.bit_count() < len(combo):
+                return wbits | taken
+            block_bits.append(wbits)
+            residual_bits.append(img)
+            taken |= wbits
+            struck |= img
+            images = [b for i, b in zip(indices, images) if not wbits >> i & 1]
+            indices = [i for i in indices if not wbits >> i & 1]
     return tuple(block_bits), tuple(residual_bits)
 
 

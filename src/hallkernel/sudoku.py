@@ -91,7 +91,7 @@ def _build_tables():
             unit_bits[i] |= 1 << u
             seen[i] |= members
     return tuple(unit_bits), tuple(
-        [tuple(bit_indices(s & ~(1 << i))) for i, s in enumerate(seen)])
+        [tuple([j for j in bit_indices(s & ~(1 << i))]) for i, s in enumerate(seen)])
 
 
 _UNIT_BITS, _NEIGHBOR_SLOTS = _build_tables()
@@ -279,12 +279,16 @@ def _propagate_masks(givens: list, masks: list, memo: dict,
                     dirty |= _UNIT_BITS[i] & ~bit
                 if new & (new - 1) == 0:
                     singles.append(i)
-            dirty |= _promote(givens, masks, singles)
+            dirty |= _promote(givens, masks, singles, bit)
 
 
-def _promote(givens: list, masks: list, slots) -> int:
+def _promote(givens: list, masks: list, slots, visited: int) -> int:
     # Turn single-candidate slots into givens, cascading through neighbors;
-    # returns the bits of the units that saw a change.
+    # returns the bits of the units that saw a change.  ``visited`` holds the
+    # bit of the unit whose kernel found ``slots``: each one's digit is in no
+    # other kernel image of that unit, so promoting it changes nothing there,
+    # and a cascade that strikes one of the unit's cells marks it as a
+    # neighbour's unit.
     dirty = 0
     queue = deque(slots)
     while queue:
@@ -293,7 +297,7 @@ def _promote(givens: list, masks: list, slots) -> int:
         if not mask:
             continue
         givens[i] = digit = mask.bit_length() - 1
-        dirty |= _UNIT_BITS[i]
+        dirty |= _UNIT_BITS[i] & ~visited
         for j in _NEIGHBOR_SLOTS[i]:
             cand = masks[j]
             if not cand >> digit & 1:

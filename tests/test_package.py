@@ -27,13 +27,19 @@ def test_no_assert_statements_in_package():
 
 
 def test_no_tuple_built_from_a_generator_expression():
-    # ``tuple(<genexpr>)`` allocates ten slots and resizes, which fills
-    # CPython's per-size tuple free lists as calls pile up; ``tuple([...])``
-    # allocates the final size once.
+    # A generator expression, or a ``map``, ``zip``, ``filter`` or
+    # ``bit_indices`` iterator, has no length hint, so ``tuple()`` over it
+    # allocates ten slots and resizes, which fills CPython's per-size tuple
+    # free lists as calls pile up; ``tuple([...])`` allocates the final size
+    # once.
+    lazy = {"map", "zip", "filter", "bit_indices"}
     found = [f"{name}:{node.lineno}" for name, node in package_nodes()
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "tuple" and node.args
-             and isinstance(node.args[0], ast.GeneratorExp)]
+             and (isinstance(node.args[0], ast.GeneratorExp)
+                  or isinstance(node.args[0], ast.Call)
+                  and isinstance(node.args[0].func, ast.Name)
+                  and node.args[0].func.id in lazy)]
     assert found == []
 
 

@@ -122,6 +122,80 @@ def test_cut_agrees_with_plain_enumeration(arguments):
     assert_cut_agrees(*arguments)
 
 
+def relabelled_chain(rng, n):
+    """The triangular chain on ``n`` positions and values, both shuffled.
+
+    The k-th position of the chain holds the chain's first k + 1 values, so
+    every step of the scan peels one position with one value.
+    """
+    chain = [1 << v for v in rng.sample(range(n), n)]
+    return rng.sample([sum(chain[:k + 1]) for k in range(n)], n)
+
+
+def some_of(rng, bits):
+    """A random subset of the values in ``bits``."""
+    return sum([1 << v for v in range(bits.bit_length())
+                if bits >> v & 1 and rng.random() < 0.5])
+
+
+class TestPeel:
+    """Size-1 blocks peeled in place give exactly what plain enumeration gives."""
+
+    def test_relabelled_chains(self):
+        rng = random.Random(21)
+        for n in range(13, 21):
+            for _ in range(3):
+                bits = relabelled_chain(rng, n)
+                got = hall_scan(bits)
+                assert got == oracle_hall_scan(bits)
+                assert all(b.bit_count() == 1 for b in got[0] + got[1])
+
+    def test_blocks_spliced_between_the_peels(self):
+        # A block of ``size`` positions on ``size`` fresh values after the
+        # chain's first t values; later chain positions see some fresh values.
+        rng = random.Random(22)
+        for n in range(13, 18):
+            for size in (2, 3):
+                for _ in range(3):
+                    values = [1 << v for v in rng.sample(range(n + size), n + size)]
+                    chain, fresh = values[:n], sum(values[n:])
+                    t = rng.randrange(1, n)
+                    bits = [sum(chain[:k + 1]) | (some_of(rng, fresh) if k >= t else 0)
+                            for k in range(n)]
+                    bits += [fresh | some_of(rng, sum(chain[:t])) for _ in range(size)]
+                    order = rng.sample(range(n + size), n + size)
+                    bits = [bits[i] for i in order]
+                    got = hall_scan(bits)
+                    assert got == oracle_hall_scan(bits)
+                    block = sum([1 << p for p, i in enumerate(order) if i >= n])
+                    assert block in got[0]
+
+    def test_chains_that_run_out_of_values(self):
+        # Position t of the chain sees only values of the positions before it.
+        rng = random.Random(23)
+        for n in range(13, 21):
+            for _ in range(3):
+                chain = [1 << v for v in rng.sample(range(n), n)]
+                bits = [sum(chain[:k + 1]) for k in range(n)]
+                t = rng.randrange(1, n)
+                bits[t] = some_of(rng, bits[t - 1]) or chain[t - 1]
+                bits = rng.sample(bits, n)
+                got = hall_scan(bits)
+                assert isinstance(got, int) and got == oracle_hall_scan(bits)
+                # The blocks taken, one value each, and the position left with none.
+                image = reduce(or_, [b for i, b in enumerate(bits) if got >> i & 1])
+                assert image.bit_count() == got.bit_count() - 1
+
+    def test_chain_runs_no_walk(self, monkeypatch):
+        calls = []
+        for name in ("_first_fit_pruned", "_first_fit_counted", "_matching_completion"):
+            monkeypatch.setattr(partition, name,
+                                lambda *args, name=name: calls.append(name))
+        blocks, _ = hall_scan(relabelled_chain(random.Random(24), 20))
+        assert calls == []
+        assert sorted(blocks) == [1 << i for i in range(20)]
+
+
 @contextmanager
 def completion_everywhere():
     """Send every step without a size-1 hit to the matching completion.
@@ -217,8 +291,11 @@ class TestCountedSizes:
     """The scan walks no size the counts rule out, and those sizes hold no hit."""
 
     def test_unit_like_steps(self, monkeypatch):
-        walked = []
+        steps, walked = [], []
+        counted = partition._first_fit_counted
         fit = partition._first_fit_pruned
+        monkeypatch.setattr(partition, "_first_fit_counted",
+                            lambda res: steps.append(res) or counted(res))
         monkeypatch.setattr(partition, "_first_fit_pruned",
                             lambda res, size: walked.append((res, size)) or fit(res, size))
         rng = random.Random(13)
@@ -228,29 +305,29 @@ class TestCountedSizes:
                 assert_cut_agrees(bits, (1 << m) - 1)
                 assert_cut_agrees(bits, *random_masks(rng, m, m + 3))
         skipped = Counter()
+        for res in steps:
+            # A step whose size-1 pass missed: whatever the counts rule out holds no hit.
+            for s in range(2, len(res)):
+                reason = ruled_out(res, s)
+                skipped[reason] += 1
+                if reason:
+                    assert all(reduce(or_, combo).bit_count() > s
+                               for combo in combinations(res, s))
         for res, size in walked:
-            if size == 1:
-                # A step begins here: whatever the counts rule out holds no hit.
-                for s in range(2, len(res)):
-                    reason = ruled_out(res, s)
-                    skipped[reason] += 1
-                    if reason:
-                        assert all(reduce(or_, combo).bit_count() > s
-                                   for combo in combinations(res, s))
-            else:
-                # The last size is read off the union, and no ruled-out size is walked.
-                assert size < len(res) and ruled_out(res, size) is None
+            # Size 1 is peeled inline, the last size is read off the union, and
+            # no ruled-out size is walked.
+            assert 1 < size < len(res) and ruled_out(res, size) is None
         assert skipped["positions"] > 500 and skipped["values"] > 500
         assert skipped[None] > 2000
 
     def test_counted_walks_on_inkala(self, monkeypatch):
-        # 4,532 walks without the counts.
+        # 2,644 walks without the counts; size 1 is peeled without a walk.
         calls = []
         fit = partition._first_fit_pruned
         monkeypatch.setattr(partition, "_first_fit_pruned",
                             lambda res, size: calls.append(size) or fit(res, size))
         sudoku.solve(sudoku.parse_grid(INKALA))
-        assert len(calls) == 2112
+        assert len(calls) == 1027
 
 
 def dense_bits(rng, n):
@@ -360,7 +437,7 @@ class TestWhenTheCompletionRuns:
         monkeypatch.setattr(sudoku, "kernel_bits",
                             lambda bits: kernel_calls.append(bits) or kernel_bits(bits))
         sudoku.solve(sudoku.parse_grid(INKALA))
-        assert len(kernel_calls) == 779
+        assert len(kernel_calls) == 738
         assert calls == []
 
     def test_path_at_the_cap(self, calls, capsys, monkeypatch):
