@@ -84,12 +84,16 @@ def kernel_bits(image_bits) -> list[int] | int:
     """Each position's kernel image as a bitset, or the Hall-violation witness.
 
     Masks each image with its block's residual image from :func:`hall_scan`,
-    which is the block's image less what the earlier blocks take.
+    which is the block's image less what the earlier blocks take.  A single
+    block's residual image is the union of all the images, so then the
+    kernel is the images themselves, returned as a new list.
     """
     result = hall_scan(image_bits)
     if isinstance(result, int):
         return result
     kernel = list(image_bits)
+    if len(result[0]) == 1:
+        return kernel
     for wbits, rbits in zip(result[0], result[1]):
         while wbits:
             low = wbits & -wbits

@@ -15,7 +15,8 @@ scan runs on bitsets and applies the size cap; labels appear only in
 :func:`compute_hall_partition`, which reads the exit kind off the last block,
 and :func:`check_hall`.  A one-element block is peeled in place from the lists
 of positions and images the scan carries from step to step, so a forced chain
-builds no list per step.
+builds no list per step.  A step whose hit is the whole rest ends the scan
+there, as its last block.
 
 A step with no hit of size 1 first counts, in one pass over its residual
 images, how many values each image has and how many images hold each value.
@@ -24,7 +25,8 @@ when, three or fewer images left out, fewer than u - s of the u values in the
 union are held by at most m - s of the m images: the preemptive sets of Crook
 2009 read from both sides, a naked set of s cells against a hidden set of
 u - s digits.  Such sizes are skipped, and the whole step is the hit when no
-smaller size has one.  :func:`hall_scan` gives the proof.
+smaller size has one; a step of one or two positions has no size to skip
+and counts nothing.  :func:`hall_scan` gives the proof.
 
 A step over more than :data:`MATCHING_CUTOFF` positions with no hit of size 1
 is finished from a maximum matching instead (Régin 1994, Dulmage--Mendelsohn
@@ -115,7 +117,14 @@ def hall_scan(image_bits):
     empty one a witness with the blocks taken, and a one-value one is deleted
     from both lists.  So a chain of one-element blocks builds no list; only a
     step with no hit of size 1 builds its residual images for the walks
-    below, and a hit of several positions rebuilds the two lists.
+    below (a step with nothing struck yet walks the images list itself, which
+    nothing mutates), and a hit of several positions rebuilds the two lists.
+    A hit of every position left ends the scan at once: the block is every
+    position not taken, with the step's union as its residual image, and no
+    position is read off one by one and no list is rebuilt.  Its union is
+    never smaller than the step (any m - 1 of its positions would then be a
+    hit first, and a step of one or two has at least two values), but were
+    it, the witness would be the whole domain, which the scan returns.
 
     A step over m positions whose size-1 pass has no hit makes one pass over
     the residual images for their value counts, their union U of u values, and
@@ -123,7 +132,8 @@ def hall_scan(image_bits):
     then skips each size s in 2..m-1 where fewer than s positions have at most
     s values, or where m - s <= 3 and fewer than u - s values are held by at
     most m - s positions, and takes the whole step, of size m and union U, as
-    the hit when no smaller size has one.  A skipped size holds no hit: take a
+    the hit when no smaller size has one; a step of one or two positions has
+    no size in 2..m-1 and skips the counts.  A skipped size holds no hit: take a
     hit S, |S| = s and |N'(S)| <= s.  Every position of S has at most s
     values, so at least s positions do.  T = U less N'(S) has at least u - s
     values, and no position of S holds any of them, so each is held by at
@@ -188,13 +198,19 @@ def hall_scan(image_bits):
                 del indices[k], images[k]
                 break
         else:
-            res = [b & keep for b in images]
+            res = [b & keep for b in images] if struck else images
             if matching and len(res) > MATCHING_CUTOFF:
                 rest = _matching_completion(indices, res)
                 if rest is not None:
                     return tuple(block_bits + rest[0]), tuple(residual_bits + rest[1])
                 matching = False
             combo, img = _first_fit_counted(res)
+            if combo is None:  # the whole rest: the last block, or the witness
+                if img.bit_count() < len(res):
+                    return (1 << n) - 1
+                block_bits.append(((1 << n) - 1) ^ taken)
+                residual_bits.append(img)
+                break
             wbits = 0
             for k in combo:
                 wbits |= 1 << indices[k]
@@ -315,12 +331,15 @@ def augment(res, match, owner, start, seen, goal):
 
 def _first_fit_counted(res):
     # The (size, lex)-first hit of size 2 or more, as ``(combo, union)``, or
-    # else the whole step with its union.  Sizes the two counts of hall_scan's
-    # docstring rule out are skipped, and the last size is read off the union.
+    # else ``(None, union)`` for the whole step.  Sizes the two counts of
+    # hall_scan's docstring rule out are skipped, and the last size is read
+    # off the union; a step of one or two positions has no size to try.
     # ``held<j>`` holds the values held by at least j positions, bit-sliced,
     # and ``few[k]`` counts the values held by at most k.
     m = len(res)
-    counts = sorted([b.bit_count() for b in res])
+    if m <= 2:
+        return None, res[0] | res[-1]
+    counts = sorted(map(int.bit_count, res))
     union = held2 = held3 = held4 = 0
     for b in res:
         held4 |= held3 & b
@@ -339,7 +358,7 @@ def _first_fit_counted(res):
         hit = _first_fit_pruned(res, size)
         if hit is not None:
             return hit
-    return tuple(range(m)), union
+    return None, union
 
 
 def _first_fit_pruned(res, size):

@@ -11,9 +11,12 @@ single digit; :func:`solve` adds depth-first search on top.  Inside, cells
 are slots 0..80 in row-major order: markup, propagation and search keep a
 digit and a 9-bit candidate mask (bit ``d`` for digit ``d``) per slot in two
 81-int lists, 0 meaning none, and ``(row, column)`` labels and sets of digits
-exist only at the public boundary.  :func:`solve` memoises unit kernels by
-their tuple of masks for one call, up to ``KERNEL_MEMO_CAP`` entries, and
-re-propagates a search branch from the branched cell's three units only.
+exist only at the public boundary.  Markups are read off the 27 units' masks
+of given digits.  Propagation keeps the units still to visit as a 27-bit
+mask and walks only those, in sweep order (rows, columns, blocks).
+:func:`solve` memoises unit kernels by their tuple of masks for one call, up
+to ``KERNEL_MEMO_CAP`` entries, and re-propagates a search branch from the
+branched cell's three units only.
 """
 
 from __future__ import annotations
@@ -82,19 +85,22 @@ _UNIT_SLOTS = tuple([tuple([_SLOT_OF[cell] for cell in unit.cells]) for unit in 
 
 def _build_tables():
     # One pass over the units: per slot, its units as bits (bit ``u`` for
-    # ``ALL_UNITS[u]``) and the 20 other slots sharing a unit with it.
+    # ``ALL_UNITS[u]``), its row, column and block as unit indices, and the
+    # 20 other slots sharing a unit with it.
     unit_bits = [0] * 81
+    units = [[] for _ in range(81)]
     seen = [0] * 81
     for u, slots in enumerate(_UNIT_SLOTS):
         members = sum(1 << i for i in slots)
         for i in slots:
             unit_bits[i] |= 1 << u
+            units[i].append(u)
             seen[i] |= members
-    return tuple(unit_bits), tuple(
+    return tuple(unit_bits), tuple([tuple(u) for u in units]), tuple(
         [tuple([j for j in bit_indices(s & ~(1 << i))]) for i, s in enumerate(seen)])
 
 
-_UNIT_BITS, _NEIGHBOR_SLOTS = _build_tables()
+_UNIT_BITS, _SLOT_UNITS, _NEIGHBOR_SLOTS = _build_tables()
 _ALL_UNIT_BITS = (1 << len(ALL_UNITS)) - 1
 
 
@@ -139,14 +145,6 @@ def parse_grid(text: str) -> SudokuGrid:
         if ch not in ".0123456789":
             raise GridError(f"bad character {ch!r} at cell {ALL_CELLS[i]}")
     givens = [0 if ch == "." else int(ch) for ch in chars]
-    for unit, slots in zip(ALL_UNITS, _UNIT_SLOTS):
-        seen = 0
-        for i in slots:
-            bit = 1 << givens[i]
-            if seen & bit & _DIGIT_BITS:
-                raise GridError(
-                    f"duplicate given {givens[i]} in {unit} at cell {ALL_CELLS[i]}")
-            seen |= bit
     return _grid(givens, _markups(givens))
 
 
@@ -157,14 +155,25 @@ def compute_markups(grid: SudokuGrid) -> SudokuGrid:
 
 
 def _markups(givens: list) -> list[int]:
-    # Each open slot's mask of the digits no neighbour holds as a given.
+    # Each open slot's mask of the digits given in none of its three units,
+    # read off the units' masks of given digits (bit 0 marks an open slot).
+    # A digit given twice in one unit is a GridError.
+    used = []
+    for unit, slots in zip(ALL_UNITS, _UNIT_SLOTS):
+        seen = 0
+        for i in slots:
+            bit = 1 << givens[i]
+            if seen & bit & _DIGIT_BITS:
+                raise GridError(
+                    f"duplicate given {givens[i]} in {unit} at cell {ALL_CELLS[i]}")
+            seen |= bit
+        used.append(seen)
     masks = [0] * 81
     for i, digit in enumerate(givens):
         if digit:
             continue
-        mask = _DIGIT_BITS
-        for j in _NEIGHBOR_SLOTS[i]:
-            mask &= ~(1 << givens[j])
+        row, column, block = _SLOT_UNITS[i]
+        mask = _DIGIT_BITS & ~(used[row] | used[column] | used[block])
         if not mask:
             raise Contradiction(f"cell {ALL_CELLS[i]} has no admissible digit",
                                 cells=(ALL_CELLS[i],))
@@ -195,8 +204,12 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
     revisited only while something they see has changed, which leaves the
     fixpoint untouched because kernel filtering is idempotent.  Raises
     :class:`Contradiction` when a unit admits no alldifferent assignment or a
-    candidate set runs empty; the input grid is never mutated.
+    candidate set runs empty; the input grid is never mutated.  ``max_sweeps``
+    caps the sweeps: ``None`` or an ``int`` of at least 0, else
+    :class:`ValueError`.
     """
+    if max_sweeps is not None and not (type(max_sweeps) is int and max_sweeps >= 0):
+        raise ValueError(f"max_sweeps must be None or an int >= 0, not {max_sweeps!r}")
     givens, masks = _slots(grid)
     _propagate_masks(givens, masks, {}, max_sweeps)
     return _grid(givens, masks)
@@ -249,16 +262,20 @@ def _propagate_masks(givens: list, masks: list, memo: dict,
     # cell masks to its kernel_bits result; the kernel depends on nothing
     # else, so one memo serves every unit and every branch of one search.
     # Bit u of ``dirty`` marks unit u for a visit; a unit left out must
-    # already be at the fixpoint (visited since it last changed).
+    # already be at the fixpoint (visited since it last changed).  A sweep
+    # visits the dirty units in unit order: each next the lowest dirty bit
+    # above the unit just visited, so a unit marked behind it waits for the
+    # next sweep.
     sweeps = 0
     while dirty and (max_sweeps is None or sweeps < max_sweeps):
         sweeps += 1
-        for u, slots in enumerate(_UNIT_SLOTS):
-            bit = 1 << u
-            if not dirty & bit:
-                continue
+        above = -1  # every bit at or above the next unit to visit
+        while ahead := dirty & above:
+            bit = ahead & -ahead
+            above = -(bit << 1)
             dirty ^= bit
-            open_slots = [i for i in slots if masks[i]]
+            u = bit.bit_length() - 1
+            open_slots = [i for i in _UNIT_SLOTS[u] if masks[i]]
             if not open_slots:
                 continue
             key = tuple([masks[i] for i in open_slots])
@@ -279,7 +296,8 @@ def _propagate_masks(givens: list, masks: list, memo: dict,
                     dirty |= _UNIT_BITS[i] & ~bit
                 if new & (new - 1) == 0:
                     singles.append(i)
-            dirty |= _promote(givens, masks, singles, bit)
+            if singles:
+                dirty |= _promote(givens, masks, singles, bit)
 
 
 def _promote(givens: list, masks: list, slots, visited: int) -> int:
@@ -337,11 +355,22 @@ def _solve_masks(givens: list, masks: list, memo: dict,
     # propagation ended with no unit dirty, so a branch re-propagates from
     # the branched cell's units only: every other unit is still at the
     # fixpoint, and the filters reach the same fixpoint or contradiction.
+    # The branch slot is the first with the fewest candidates; at the fixpoint
+    # no open slot has one, so the first with two ends the search.
     try:
         _propagate_masks(givens, masks, memo, dirty=dirty)
     except Contradiction:
         return None
-    _, i = min(((m.bit_count(), i) for i, m in enumerate(masks) if m), default=(0, None))
+    i, fewest = None, 10
+    for j, mask in enumerate(masks):
+        if mask:
+            count = mask.bit_count()
+            if count < fewest:
+                if count == 1:
+                    raise RuntimeError(f"slot {j} has one candidate at a fixpoint")
+                i, fewest = j, count
+                if count == 2:
+                    break
     if i is None:
         return givens
     for digit in bit_indices(masks[i]):

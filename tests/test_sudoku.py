@@ -277,6 +277,12 @@ class TestPropagate:
             for sweeps in (1, 2):
                 assert propagate(propagate(grid, max_sweeps=sweeps)) == full
 
+    @pytest.mark.parametrize("bad", [-1, 1.0, True, "2"])
+    def test_max_sweeps_must_be_a_count(self, bad):
+        grid = parse_grid(naked_pair_text())
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            propagate(grid, max_sweeps=bad)
+
     def test_units_stay_hall_consistent(self):
         rng = random.Random(5)
         text = canonical_grid_text()
@@ -455,6 +461,49 @@ class TestBranchPropagation:
                 continue
             self._branches(givens, masks, outcomes, sum(outcomes.values()) + 150)
         assert outcomes[True] > 60 and outcomes[False] > 2000
+
+
+class TestBranchChoice:
+    """The search branches on the first slot with the fewest candidates."""
+
+    def test_over_the_transcript_corpus(self, monkeypatch):
+        # Each propagation that returns is followed by the search's first
+        # branch below it, if any, which re-propagates from its slot's units.
+        events = []
+        propagate_masks = sudoku._propagate_masks
+        solve_masks = sudoku._solve_masks
+
+        def propagated(givens, masks, memo, max_sweeps=None, dirty=sudoku._ALL_UNIT_BITS):
+            propagate_masks(givens, masks, memo, max_sweeps, dirty)
+            events.append(masks[:])
+
+        def branch(givens, masks, memo, dirty=sudoku._ALL_UNIT_BITS):
+            events.append(dirty)
+            return solve_masks(givens, masks, memo, dirty)
+
+        monkeypatch.setattr(sudoku, "_propagate_masks", propagated)
+        monkeypatch.setattr(sudoku, "_solve_masks", branch)
+        fixpoints = branches = 0
+        for grid in _transcript_corpus():
+            events.clear()
+            solve(grid)
+            for masks, following in zip(events, events[1:] + [None]):
+                if isinstance(masks, int):
+                    continue
+                fixpoints += 1
+                open_slots = [(m.bit_count(), i) for i, m in enumerate(masks) if m]
+                assert all(count > 1 for count, _ in open_slots)
+                if open_slots:
+                    assert following == sudoku._UNIT_BITS[min(open_slots)[1]]
+                    branches += 1
+        assert fixpoints > branches > 500
+
+    def test_one_candidate_at_a_fixpoint_is_refused(self, monkeypatch):
+        monkeypatch.setattr(sudoku, "_propagate_masks", lambda *args, **kwargs: None)
+        givens, masks = sudoku._slots(parse_grid("." * 81))
+        masks[40] = 1 << 3
+        with pytest.raises(RuntimeError, match="slot 40 has one candidate"):
+            sudoku._solve_masks(givens, masks, {})
 
 
 class TestRendering:
