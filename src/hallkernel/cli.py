@@ -45,7 +45,8 @@ def parse_mapping_document(text: str) -> FiniteMapping:
     Checks only the document syntax; the mapping invariants, an image line
     for an element an ``X:`` header leaves out included, come from
     :class:`FiniteMapping`, whose errors are raised as :class:`DocumentError`.
-    X and Y without a header are taken in order of first appearance.
+    X and Y without a header are taken in order of first appearance.  No
+    token holds ``:``, which is the separator.
     """
     headers: dict[str, list[str]] = {}
     entries: dict[str, list[str]] = {}
@@ -57,6 +58,8 @@ def parse_mapping_document(text: str) -> FiniteMapping:
             axis = line[0]
             if axis in headers:
                 raise DocumentError(f"line {lineno}: duplicate {axis}: header")
+            if ":" in line[2:]:
+                raise DocumentError(f"line {lineno}: ':' inside a token of the {axis}: header")
             headers[axis] = line[2:].split()
             _reject_duplicates(headers[axis], f"line {lineno}: {axis} header")
             continue
@@ -70,6 +73,8 @@ def parse_mapping_document(text: str) -> FiniteMapping:
         x = x_tokens[0]
         if x in entries:
             raise DocumentError(f"line {lineno}: duplicate image line for {x!r}")
+        if ":" in tail:
+            raise DocumentError(f"line {lineno}: ':' inside a token of the image of {x!r}")
         ys = tail.split()
         _reject_duplicates(ys, f"line {lineno}: image of {x!r}")
         entries[x] = ys

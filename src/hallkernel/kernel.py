@@ -8,7 +8,8 @@ image within its block's residual image (what the earlier blocks can take is
 struck); when no selection exists, the kernel degenerates to all-empty images
 (a value, not an error -- the violation witness rides along as diagnostics).
 
-:func:`kernel_bits` reads it off one bitset :func:`hall_scan`;
+:func:`kernel_bits` reads it off one bitset :func:`hall_scan`; a kernel of
+one block is the images themselves, handed back as the same read-only object.
 :func:`iter_selections` walks the images' complete matchings, which are the
 selections, with no scan.  Labels appear only in the public results.
 """
@@ -86,14 +87,16 @@ def kernel_bits(image_bits) -> list[int] | int:
     Masks each image with its block's residual image from :func:`hall_scan`,
     which is the block's image less what the earlier blocks take.  A single
     block's residual image is the union of all the images, so then the
-    kernel is the images themselves, returned as a new list.
+    kernel is the images themselves: ``image_bits`` is returned as it is, the
+    same object.  Otherwise the result is a new list.  Either way it is
+    read-only; a caller must not mutate it.
     """
     result = hall_scan(image_bits)
     if isinstance(result, int):
         return result
-    kernel = list(image_bits)
     if len(result[0]) == 1:
-        return kernel
+        return image_bits
+    kernel = list(image_bits)
     for wbits, rbits in zip(result[0], result[1]):
         while wbits:
             low = wbits & -wbits
@@ -133,8 +136,11 @@ def alldifferent_kernel(mapping: FiniteMapping) -> KernelMapping:
 
 def is_alldifferent(mapping: FiniteMapping) -> bool:
     """Whether every image is nonempty and every value lies on some selection."""
-    # An empty image makes the scan return a witness, which is an int, not a list.
-    return kernel_bits(mapping.image_bits) == list(mapping.image_bits)
+    # An empty image makes the scan return a witness, which is an int, not a
+    # list; a kernel of several blocks can still equal the images.
+    bits = mapping.image_bits
+    result = kernel_bits(bits)
+    return result is bits or result == list(bits)
 
 
 def has_unique_selection(mapping: FiniteMapping) -> bool:

@@ -12,11 +12,14 @@ are slots 0..80 in row-major order: markup, propagation and search keep a
 digit and a 9-bit candidate mask (bit ``d`` for digit ``d``) per slot in two
 81-int lists, 0 meaning none, and ``(row, column)`` labels and sets of digits
 exist only at the public boundary.  Markups are read off the 27 units' masks
-of given digits.  Propagation keeps the units still to visit as a 27-bit
-mask and walks only those, in sweep order (rows, columns, blocks).
-:func:`solve` memoises unit kernels by their tuple of masks for one call, up
-to ``KERNEL_MEMO_CAP`` entries, and re-propagates a search branch from the
-branched cell's three units only.
+of given digits, and so are a hand-built grid's givens struck.  Propagation
+keeps the units still to visit as a 27-bit mask and walks only those, in
+sweep order (rows, columns, blocks); a visit whose kernel is the unit's masks
+themselves (one block of two or more cells) changes nothing and ends at the
+kernel memo, marked there so that a repeat ends at the lookup.  :func:`solve`
+memoises unit kernels by their tuple of masks for one call, up to
+``KERNEL_MEMO_CAP`` entries; a search branch promotes its digit itself and
+re-propagates from the units that promotion changed.
 """
 
 from __future__ import annotations
@@ -36,8 +39,12 @@ _DIGIT_BITS = 0x3FE  # bits 1..9, one per digit
 #: The most unit kernels one :func:`solve` call keeps memoised.  The memo is
 #: emptied when it reaches this size, which bounds it at a few MB: an entry,
 #: a key tuple and a kernel list of up to nine masks each, takes about 400
-#: bytes.
+#: bytes; an entry marked ``_UNCHANGED`` holds only its key.
 KERNEL_MEMO_CAP = 1 << 14
+
+#: The memo's mark for a key of two or more masks whose kernel is the key
+#: itself (one block): a visit that finds it changes nothing and ends there.
+_UNCHANGED = object()
 
 
 class GridError(ValueError):
@@ -202,7 +209,8 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
     cell whose candidates collapse to one digit is promoted to a given at
     once, striking the digit from its neighbors' candidates.  Units are
     revisited only while something they see has changed, which leaves the
-    fixpoint untouched because kernel filtering is idempotent.  Raises
+    fixpoint untouched because kernel filtering is idempotent, and a visit
+    whose kernel changes nothing (one block) ends at a memo lookup.  Raises
     :class:`Contradiction` when a unit admits no alldifferent assignment or a
     candidate set runs empty; the input grid is never mutated.  ``max_sweeps``
     caps the sweeps: ``None`` or an ``int`` of at least 0, else
@@ -217,10 +225,12 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
 
 def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
     # The grid's givens and candidate masks as 81-slot lists, each given's
-    # digit struck from its neighbours' masks.  A cell off the grid, a digit
-    # outside 1..9 or a cell with both a given and candidates is a GridError;
-    # two neighbouring givens with one digit, or an open cell left with no
-    # candidate, contradict.
+    # digit struck from its neighbours' masks through the 27 units' masks of
+    # given digits.  A cell off the grid, a digit outside 1..9 or a cell with
+    # both a given and candidates is a GridError; two neighbouring givens with
+    # one digit, or an open cell left with no candidate, contradict.  Each
+    # given is checked for its digit, then for candidates, then for a clash,
+    # before the next; a clash names the first neighbour in slot order.
     for cell in (*grid.candidates, *grid.givens):
         if cell not in _SLOT_OF:
             raise GridError(f"cell {cell!r} is not on the grid")
@@ -230,21 +240,28 @@ def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
         if not DIGITS.issuperset(digits):
             raise GridError(f"cell {cell} has candidates outside 1..9: {digits!r}")
         masks[_SLOT_OF[cell]] = sum(1 << d for d in digits)
+    used = [0] * len(ALL_UNITS)  # each unit's mask of given digits
     for cell, digit in grid.givens.items():
         if digit not in DIGITS:
             raise GridError(f"cell {cell} has given {digit!r}, not a digit 1..9")
         if cell in grid.candidates:
             raise GridError(f"cell {cell} has both a given and candidates")
         i = _SLOT_OF[cell]
+        bit = 1 << digit
+        row, column, block = _SLOT_UNITS[i]
+        if (used[row] | used[column] | used[block]) & bit:
+            j = next(j for j in _NEIGHBOR_SLOTS[i] if givens[j] == digit)
+            raise Contradiction(f"cells {ALL_CELLS[j]} and {cell} both hold {digit}",
+                                cells=(ALL_CELLS[j], cell))
         givens[i] = digit
-        strike = ~(1 << digit)
-        for j in _NEIGHBOR_SLOTS[i]:
-            if givens[j] == digit:
-                raise Contradiction(f"cells {ALL_CELLS[j]} and {cell} both hold {digit}",
-                                    cells=(ALL_CELLS[j], cell))
-            masks[j] &= strike
+        used[row] |= bit
+        used[column] |= bit
+        used[block] |= bit
     for cell in grid.candidates:
-        if not masks[_SLOT_OF[cell]]:
+        i = _SLOT_OF[cell]
+        row, column, block = _SLOT_UNITS[i]
+        masks[i] &= ~(used[row] | used[column] | used[block])
+        if not masks[i]:
             raise Contradiction(f"cell {cell} has no admissible digit", cells=(cell,))
     return givens, masks
 
@@ -265,7 +282,9 @@ def _propagate_masks(givens: list, masks: list, memo: dict,
     # already be at the fixpoint (visited since it last changed).  A sweep
     # visits the dirty units in unit order: each next the lowest dirty bit
     # above the unit just visited, so a unit marked behind it waits for the
-    # next sweep.
+    # next sweep.  A key of two or more masks that is one block has no
+    # single (that cell would be a critical set of size 1, a block of its
+    # own) and keeps every candidate, so its visit ends at the memo.
     sweeps = 0
     while dirty and (max_sweeps is None or sweeps < max_sweeps):
         sweeps += 1
@@ -275,15 +294,20 @@ def _propagate_masks(givens: list, masks: list, memo: dict,
             above = -(bit << 1)
             dirty ^= bit
             u = bit.bit_length() - 1
-            open_slots = [i for i in _UNIT_SLOTS[u] if masks[i]]
-            if not open_slots:
+            key = tuple([m for i in _UNIT_SLOTS[u] if (m := masks[i])])
+            if not key:
                 continue
-            key = tuple([masks[i] for i in open_slots])
             kernel = memo.get(key)
             if kernel is None:
                 if len(memo) >= KERNEL_MEMO_CAP:
                     memo.clear()
-                kernel = memo[key] = kernel_bits(key)
+                kernel = kernel_bits(key)
+                if kernel is key and len(key) > 1:
+                    kernel = _UNCHANGED
+                memo[key] = kernel
+            if kernel is _UNCHANGED:
+                continue
+            open_slots = [i for i in _UNIT_SLOTS[u] if masks[i]]
             if isinstance(kernel, int):
                 unit = ALL_UNITS[u]
                 raise Contradiction(
@@ -302,11 +326,11 @@ def _propagate_masks(givens: list, masks: list, memo: dict,
 
 def _promote(givens: list, masks: list, slots, visited: int) -> int:
     # Turn single-candidate slots into givens, cascading through neighbors;
-    # returns the bits of the units that saw a change.  ``visited`` holds the
-    # bit of the unit whose kernel found ``slots``: each one's digit is in no
-    # other kernel image of that unit, so promoting it changes nothing there,
-    # and a cascade that strikes one of the unit's cells marks it as a
-    # neighbour's unit.
+    # returns the bits of the units that saw a change.  ``visited`` is 0 for a
+    # search branch, else the bit of the unit whose kernel found ``slots``:
+    # each one's digit is in no other kernel image of that unit, so promoting
+    # it changes nothing there, and a cascade that strikes one of the unit's
+    # cells marks it as a neighbour's unit.
     dirty = 0
     queue = deque(slots)
     while queue:
@@ -334,12 +358,12 @@ def solve(grid: SudokuGrid) -> SudokuGrid | None:
     """Propagate, then search depth-first; ``None`` when no completion exists.
 
     Branches on a cell with the fewest candidates (row-major on ties), trying
-    digits in ascending order and propagating after each tentative
-    assignment.  The search runs on cell slots and builds the solution grid
-    once, at the end.  Unit kernels are memoised for the duration of one
-    call, at most ``KERNEL_MEMO_CAP`` of them at a time.  A hand-built grid
-    that is not a grid of digits 1..9 raises :class:`GridError`, as in
-    :func:`propagate`.
+    digits in ascending order; each tentative digit is promoted at once, as
+    propagation would, and propagated from the units it changed.  The search
+    runs on cell slots and builds the solution grid once, at the end.  Unit
+    kernels are memoised for the duration of one call, at most
+    ``KERNEL_MEMO_CAP`` of them at a time.  A hand-built grid that is not a
+    grid of digits 1..9 raises :class:`GridError`, as in :func:`propagate`.
     """
     try:
         givens = _solve_masks(*_slots(grid), {})
@@ -351,12 +375,15 @@ def solve(grid: SudokuGrid) -> SudokuGrid | None:
 def _solve_masks(givens: list, masks: list, memo: dict,
                  dirty: int = _ALL_UNIT_BITS) -> list | None:
     # solve() on slots: the completed givens, or None.  Each branch works on
-    # its own copies, since _propagate_masks works in place.  The parent's
-    # propagation ended with no unit dirty, so a branch re-propagates from
-    # the branched cell's units only: every other unit is still at the
-    # fixpoint, and the filters reach the same fixpoint or contradiction.
-    # The branch slot is the first with the fewest candidates; at the fixpoint
-    # no open slot has one, so the first with two ends the search.
+    # its own copies, since _propagate_masks and _promote work in place.  The
+    # branch slot is the first with the fewest candidates; at the fixpoint no
+    # open slot has one, so the first with two ends the search.  A branch
+    # promotes its digit itself, as the slot's unit kernels would (a single
+    # is a critical set of its own), and a contradiction there fails the
+    # digit.  The parent's propagation ended with no unit dirty, so the
+    # branch re-propagates from the units the promotion changed only: every
+    # other unit is still at the fixpoint, and the filters reach the same
+    # fixpoint or contradiction in any order.
     try:
         _propagate_masks(givens, masks, memo, dirty=dirty)
     except Contradiction:
@@ -374,8 +401,13 @@ def _solve_masks(givens: list, masks: list, memo: dict,
     if i is None:
         return givens
     for digit in bit_indices(masks[i]):
-        masks[i] = 1 << digit
-        solution = _solve_masks(givens[:], masks[:], memo, _UNIT_BITS[i])
+        branch_givens, branch_masks = givens[:], masks[:]
+        branch_masks[i] = 1 << digit
+        try:
+            dirty = _promote(branch_givens, branch_masks, (i,), 0)
+        except Contradiction:
+            continue
+        solution = _solve_masks(branch_givens, branch_masks, memo, dirty)
         if solution is not None:
             return solution
     return None

@@ -130,6 +130,25 @@ class TestMappingDocuments:
         mapping = FiniteMapping.from_dict({"1": {"1"}})
         assert parse_mapping_document(serialize_mapping_document(mapping)) == mapping
 
+    @pytest.mark.parametrize("text, line", [
+        ("1 : a : b\n", 1),
+        ("1 : a:b\n", 1),
+        ("1 : a\n2 : :\n", 2),
+        ("X: 1\nY: a:b\n1 : a\n", 2),
+        ("X: 1 :\n1 : a\n", 1),
+        ("# a: b\nY: a\n1 : a # c: d\n2 : b: # e\n", 4),
+    ])
+    def test_no_token_holds_a_colon(self, text, line):
+        # serialize_mapping_document refuses such a label, so a document
+        # holding one could not be written back.
+        with pytest.raises(DocumentError, match=f"^line {line}: ':' inside a token"):
+            parse_mapping_document(text)
+
+    def test_a_colon_in_a_comment_is_no_token(self):
+        mapping = parse_mapping_document("X: 1 # x: y\n1 : a # a: b\n")
+        assert mapping.image("1") == {"a"}
+        assert parse_mapping_document(serialize_mapping_document(mapping)) == mapping
+
 
 class TestMappingCommands:
     def test_kernel_golden(self, capsys, tmp_path):

@@ -1,12 +1,13 @@
 """The one-block answer against plain enumeration and the kernel's definition.
 
 A scan step whose hit is everything left ends the scan there, and a kernel of
-one block is the images themselves.  These tests compare :func:`hall_scan`
-with :func:`oracle_hall_scan`, and :func:`kernel_bits` with the kernel by
-definition, on the inputs that take those paths: every 3x3 mapping, seeded
-square mappings built as one block (critical or not), as a violation of the
-whole domain, or as a chain that leaves one or two positions, and every unit
-key a Sudoku solve hands the kernel.
+one block is the images themselves, the very object passed in.  These tests
+compare :func:`hall_scan` with :func:`oracle_hall_scan`, and
+:func:`kernel_bits` with the kernel by definition, on the inputs that take
+those paths: every 3x3 mapping, seeded square mappings built as one block
+(critical or not), as a violation of the whole domain, or as a chain that
+leaves one or two positions, and every unit key a Sudoku solve hands the
+kernel.
 """
 
 import hashlib
@@ -16,8 +17,9 @@ from functools import cache
 
 import pytest
 
-from hallkernel import partition, sudoku
+from hallkernel import FiniteMapping, partition, sudoku
 from hallkernel.kernel import kernel_bits
+from hallkernel.mappings import bit_indices
 from hallkernel.oracle import oracle_hall_scan, oracle_kernel
 from hallkernel.partition import hall_scan
 
@@ -62,9 +64,9 @@ def assert_one_block_agrees(bits):
     if isinstance(scan, int):
         assert got == scan and not any(want)
     else:
-        assert got == want
+        assert list(got) == want
         if len(scan[0]) == 1:
-            assert got == list(bits)
+            assert got is bits
     return scan
 
 
@@ -183,17 +185,35 @@ def sudoku_unit_keys():
     return keys
 
 
-#: sha256 of ``repr(sudoku_unit_keys())``, recorded with the 27-unit ``for``
-#: loop that visited every unit in turn each sweep: it pins the visit order.
-UNIT_KEYS_SHA256 = "24caaa104b487c84401a21d0bd6bf2dd74c6e4885d91512462e199e2ba474239"
+#: sha256 of ``repr(sudoku_unit_keys())``: it pins the visit order and the
+#: units a search branch re-propagates from.
+UNIT_KEYS_SHA256 = "c5b913cb8f9c00e6cebaa1c7b5ba739f2e33c0786f6b79e0044a00a0b7f3c19f"
 
 
 def test_sudoku_unit_keys(steps):
     keys = sudoku_unit_keys()
-    assert len(keys) == 1626
+    assert len(keys) == 1571
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == UNIT_KEYS_SHA256
     shapes = Counter()
     for key in dict.fromkeys(keys):
         scan = assert_one_block_agrees(key)
         shapes["witness" if isinstance(scan, int) else len(scan[0]) == 1] += 1
-    assert shapes == {True: 1139, False: 434, "witness": 4}
+    assert shapes == {True: 1207, False: 314, "witness": 4}
+
+
+def test_unchanged_unit_keys_hold_no_single():
+    # The keys a Sudoku visit ends at the memo for: two or more masks whose
+    # kernel is the key itself.  No mask has one candidate, and every value
+    # lies on a selection, by the definition and, up to 7 cells, by the
+    # oracle's enumeration.
+    marked = [key for key in dict.fromkeys(sudoku_unit_keys())
+              if kernel_bits(key) is key and len(key) > 1]
+    assert len(marked) == 1203
+    for key in marked:
+        assert all(m & (m - 1) for m in key)
+        assert kernel_by_definition(key) == list(key)
+        if len(key) <= 7:
+            f = FiniteMapping.from_dict({k: bit_indices(m) for k, m in enumerate(key)},
+                                        y_order=range(10))
+            assert tuple([f.y_bits(img) for img in oracle_kernel(f).images]) == key
+    assert sum(len(key) <= 7 for key in marked) > 900

@@ -212,7 +212,11 @@ class TestPropagate:
         # A hand-built grid may leave a neighbouring given's digit among a
         # cell's candidates; parse_grid never does.
         grid = SudokuGrid({(1, 1): 5}, {c: set(range(1, 10)) for c in ALL_CELLS[1:]})
-        assert 5 not in propagate(grid, max_sweeps=0).candidates[(1, 2)]
+        candidates = propagate(grid, max_sweeps=0).candidates
+        neighbours = {ALL_CELLS[j] for j in sudoku._NEIGHBOR_SLOTS[0]}
+        assert len(neighbours) == 20 and {(1, 9), (9, 1), (3, 3)} <= neighbours
+        for cell, digits in candidates.items():
+            assert digits == set(range(1, 10)) - ({5} if cell in neighbours else set())
         solution = solve(grid)
         assert is_solved(solution) and solution.givens[(1, 1)] == 5
         emptied = SudokuGrid({(1, 1): 5}, {(1, 2): {5}})
@@ -248,6 +252,37 @@ class TestPropagate:
         for call in (propagate, solve):
             with pytest.raises(GridError, match=re.escape(f"cell {cell} ")):
                 call(grid)
+
+    @pytest.mark.parametrize("givens, error, message", [
+        ({(1, 1): 5, (1, 4): 5, (2, 2): 12}, Contradiction,
+         "cells (1, 1) and (1, 4) both hold 5"),
+        ({(2, 2): 12, (1, 1): 5, (1, 4): 5}, GridError,
+         "cell (2, 2) has given 12, not a digit 1..9"),
+        ({(3, 5): 7, (1, 1): 5, (3, 9): 7}, Contradiction,
+         "cells (3, 5) and (3, 9) both hold 7"),
+        ({(2, 6): 4, (9, 6): 4}, Contradiction, "cells (2, 6) and (9, 6) both hold 4"),
+        ({(7, 7): 9, (9, 8): 9}, Contradiction, "cells (7, 7) and (9, 8) both hold 9"),
+        ({(1, 1): 5, (5, 5): 5, (1, 5): 5}, Contradiction,
+         "cells (1, 1) and (1, 5) both hold 5"),
+        ({(5, 5): 5, (1, 1): 5, (1, 5): 5}, Contradiction,
+         "cells (1, 1) and (1, 5) both hold 5"),
+        ({(1, 1): 5, (1, 4): 5, (9, 9): 3}, Contradiction,
+         "cells (1, 1) and (1, 4) both hold 5"),
+        ({(9, 9): 3, (1, 1): 5, (1, 4): 5}, GridError,
+         "cell (9, 9) has both a given and candidates"),
+    ], ids=["clash-then-12", "12-then-clash", "row", "column", "block",
+            "two-units-first-slot", "two-units-reordered", "clash-then-both",
+            "both-then-clash"])
+    def test_hand_built_givens_fail_in_order(self, givens, error, message):
+        # The first given that breaks a rule names the error, in the order of
+        # the givens; a clash names the first clashing neighbour in slot order.
+        grid = SudokuGrid(dict(givens), {(9, 9): {1, 3}})
+        with pytest.raises(error) as info:
+            sudoku._slots(grid)
+        assert str(info.value) == message
+        if error is Contradiction:
+            cells = re.findall(r"\(\d, \d\)", message)
+            assert info.value.cells == {tuple(map(int, c[1:-1].split(", "))) for c in cells}
 
     def test_input_grid_is_not_mutated(self):
         grid = parse_grid(naked_pair_text())
@@ -392,7 +427,7 @@ class TestSolve:
             calls.clear()
             solve(grid)
             counts.append(len(calls))
-        assert counts[0] == counts[1] == 738
+        assert counts[0] == counts[1] == 737
         # A memo holding one entry at a time still has to recompute repeats.
         monkeypatch.setattr(sudoku, "KERNEL_MEMO_CAP", 1)
         calls.clear()
@@ -468,35 +503,52 @@ class TestBranchChoice:
 
     def test_over_the_transcript_corpus(self, monkeypatch):
         # Each propagation that returns is followed by the search's first
-        # branch below it, if any, which re-propagates from its slot's units.
-        events = []
+        # branch below it, if any: the branched slot promoted on its own,
+        # then, unless that contradicts, a re-propagation from the units the
+        # promotion changed, the slot's three among them.
+        events, kernels = [], {}
         propagate_masks = sudoku._propagate_masks
-        solve_masks = sudoku._solve_masks
+        promote = sudoku._promote
+        kernel_bits = sudoku.kernel_bits
 
         def propagated(givens, masks, memo, max_sweeps=None, dirty=sudoku._ALL_UNIT_BITS):
+            events.append(("dirty", dirty))
             propagate_masks(givens, masks, memo, max_sweeps, dirty)
-            events.append(masks[:])
+            events.append(("fixpoint", masks[:]))
+            # A fixpoint of every unit kernel, not only of the units visited.
+            for slots in sudoku._UNIT_SLOTS:
+                key = tuple([masks[i] for i in slots if masks[i]])
+                if key and key not in kernels:
+                    kernels[key] = list(kernel_bits(key)) == list(key)
+                assert not key or kernels[key]
 
-        def branch(givens, masks, memo, dirty=sudoku._ALL_UNIT_BITS):
-            events.append(dirty)
-            return solve_masks(givens, masks, memo, dirty)
+        def promoted(givens, masks, slots, visited):
+            if not visited:  # propagation passes the bit of the unit it visits
+                events.append(("branch", tuple(slots)))
+            return promote(givens, masks, slots, visited)
 
         monkeypatch.setattr(sudoku, "_propagate_masks", propagated)
-        monkeypatch.setattr(sudoku, "_solve_masks", branch)
-        fixpoints = branches = 0
+        monkeypatch.setattr(sudoku, "_promote", promoted)
+        fixpoints = branches = promoted = repropagated = 0
         for grid in _transcript_corpus():
             events.clear()
             solve(grid)
-            for masks, following in zip(events, events[1:] + [None]):
-                if isinstance(masks, int):
-                    continue
-                fixpoints += 1
-                open_slots = [(m.bit_count(), i) for i, m in enumerate(masks) if m]
-                assert all(count > 1 for count, _ in open_slots)
-                if open_slots:
-                    assert following == sudoku._UNIT_BITS[min(open_slots)[1]]
-                    branches += 1
+            for (kind, value), following in zip(events, events[1:] + [(None, None)]):
+                if kind == "fixpoint":
+                    fixpoints += 1
+                    open_slots = [(m.bit_count(), i) for i, m in enumerate(value) if m]
+                    assert all(count > 1 for count, _ in open_slots)
+                    if open_slots:
+                        assert following == ("branch", (min(open_slots)[1],))
+                        branches += 1
+                elif kind == "branch":
+                    promoted += 1
+                    if following[0] == "dirty":
+                        units = sudoku._UNIT_BITS[value[0]]
+                        assert following[1] & units == units
+                        repropagated += 1
         assert fixpoints > branches > 500
+        assert promoted > repropagated > 500
 
     def test_one_candidate_at_a_fixpoint_is_refused(self, monkeypatch):
         monkeypatch.setattr(sudoku, "_propagate_masks", lambda *args, **kwargs: None)
@@ -574,3 +626,53 @@ def test_mask_propagation_matches_label_level_transcript():
 def test_transcript_holds_when_the_kernel_memo_is_cleared_at_every_miss(monkeypatch):
     monkeypatch.setattr(sudoku, "KERNEL_MEMO_CAP", 1)
     assert _transcript_digest() == SUDOKU_TRANSCRIPT_SHA256
+
+
+def _kernel_keys_and_records(monkeypatch, copy):
+    # The transcript corpus' propagation records and solutions, with the keys
+    # kernel_bits got from propagate and from solve, in call order.  ``copy``
+    # hands every kernel back as a new list, so none is its key.
+    keys = []
+    kernel_bits = sudoku.kernel_bits
+
+    def recorded(bits):
+        keys.append(bits)
+        kernel = kernel_bits(bits)
+        return list(kernel) if copy and not isinstance(kernel, int) else kernel
+
+    monkeypatch.setattr(sudoku, "kernel_bits", recorded)
+    records, propagate_keys, solve_keys = [], [], []
+    for grid in _transcript_corpus():
+        records.append([_propagation_record(grid, sweeps) for sweeps in (None, 1, 2)])
+        propagate_keys += keys
+        keys.clear()
+        solution = solve(grid)
+        records.append(solution and grid_line(solution))
+        solve_keys += keys
+        keys.clear()
+    return records, propagate_keys, solve_keys
+
+
+#: sha256 of ``repr`` of the keys propagate hands kernel_bits over the
+#: transcript corpus, at max_sweeps None, 1 and 2; recorded before a visit
+#: could end at the memo.
+PROPAGATE_KEYS_SHA256 = "d8948e25bcff0308355c314f0f487fef5849a85f0ab0baa7affb7daa2ecc94ba"
+
+
+class TestVisitEndsAtTheMemo:
+    """A unit whose kernel is its key changes nothing, so its visit can end there."""
+
+    def test_propagate_keys_are_pinned(self, monkeypatch):
+        _, keys, _ = _kernel_keys_and_records(monkeypatch, copy=False)
+        assert len(keys) == 4045
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == PROPAGATE_KEYS_SHA256
+
+    def test_copied_kernels_change_nothing(self, monkeypatch):
+        # With every kernel a copy, no visit ends at the memo: each walks its
+        # cells.  The grids, the solutions and the keys stay the same.
+        kernel_bits = sudoku.kernel_bits
+        kept = _kernel_keys_and_records(monkeypatch, copy=False)
+        copied = _kernel_keys_and_records(monkeypatch, copy=True)
+        assert kept == copied
+        one_block = [key for key in kept[2] if len(key) > 1 and kernel_bits(key) is key]
+        assert len(one_block) > 0.5 * len(kept[2])
