@@ -9,7 +9,9 @@ reader closed standard output early (nothing is written to stderr).  A Sudoku
 batch gets one record per grid line and exits with the worst code over its lines.
 
 Every subcommand returns ``(exit code, JSON payload, text lines)``; only
-:func:`main` chooses between the two output formats.
+:func:`main` chooses between the two output formats.  A process imports only
+what its subcommand runs: :mod:`hallkernel.sudoku` is loaded by the sudoku
+handlers alone, which report a bad grid as a :class:`DocumentError`.
 
 Mapping document format: ``#`` starts a comment; optional ``X:`` / ``Y:``
 header lines list whitespace-separated element tokens; every body line is
@@ -28,12 +30,10 @@ from .mappings import FiniteMapping, InvalidMappingError, SizeCapError
 from .partition import HallViolation, check_hall, compute_hall_partition
 from .kernel import alldifferent_kernel, extract_selection, iter_selections
 from .oracle import SELECTION_CAP
-from . import sudoku
-from .sudoku import Contradiction, GridError, grid_cells, parse_grid
 
 
 class DocumentError(ValueError):
-    """A mapping document failed to parse."""
+    """A mapping document, or the grid input of a sudoku subcommand, failed to parse."""
 
 
 # -- mapping documents ----------------------------------------------------
@@ -208,6 +208,7 @@ def _cmd_enumerate(mapping: FiniteMapping):
 
 def _grid_lines(text: str) -> list[tuple[int, str]]:
     # One grid at most 9 cells a line (9x9 or render() layout), else one grid a line.
+    from .sudoku import GridError, grid_cells
     lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1)
              if grid_cells(line)]
     if not lines:
@@ -219,9 +220,10 @@ def _grid_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _sudoku_record(run, text: str):
+    from . import sudoku
     try:
-        grid = run(parse_grid(text))
-    except Contradiction as exc:
+        grid = run(sudoku.parse_grid(text))
+    except sudoku.Contradiction as exc:
         if run is sudoku.solve:
             grid = None  # dead already in the markups: unsolvable like any other
         else:
@@ -241,15 +243,20 @@ def _sudoku_record(run, text: str):
     }, [sudoku.render(grid)]
 
 
-def _cmd_sudoku(run, text: str):
-    grids = _grid_lines(text)
-    if len(grids) == 1:
-        return _sudoku_record(run, grids[0][1])
+def _cmd_sudoku(command: str, text: str):
+    from . import sudoku
+    run = getattr(sudoku, command)
+    try:
+        grids = _grid_lines(text)
+        if len(grids) == 1:
+            return _sudoku_record(run, grids[0][1])
+    except sudoku.GridError as exc:  # no grid, or the only one is bad
+        raise DocumentError(str(exc)) from exc
     records = []
     for lineno, line in grids:
         try:
             records.append(_sudoku_record(run, line))
-        except GridError as exc:
+        except sudoku.GridError as exc:
             message = f"error: line {lineno}: {exc}"
             print(message, file=sys.stderr)
             records.append((2, {"error": str(exc)}, [message]))
@@ -290,11 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     sud = commands.add_parser("sudoku", description="Sudoku propagation and solving",
                               help="Sudoku propagation and solving")
     sud_commands = sud.add_subparsers(dest="sudoku_command", required=True)
-    for name, run, description in (
-            ("propagate", sudoku.propagate,
-             "narrow candidates to the per-unit alldifferent fixpoint"),
-            ("solve", sudoku.solve, "solve grids completely")):
-        _add_command(sud_commands, name, functools.partial(_cmd_sudoku, run),
+    for name, description in (
+            ("propagate", "narrow candidates to the per-unit alldifferent fixpoint"),
+            ("solve", "solve grids completely")):
+        _add_command(sud_commands, name, functools.partial(_cmd_sudoku, name),
                      description)
     return parser
 
@@ -303,8 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, payload, lines = args.handler(_read_input(args))
-    except (DocumentError, GridError, OSError, SizeCapError,
-            UnicodeDecodeError) as exc:
+    except (DocumentError, OSError, SizeCapError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SizeCapError) else 2
     try:

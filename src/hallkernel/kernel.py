@@ -16,9 +16,7 @@ selections, with no scan.  Labels appear only in the public results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .mappings import DomainError, FiniteMapping, Label, complement
+from .mappings import DomainError, FiniteMapping, Label, complement, _Record
 from .mappings import ENUMERATION_CAP, SizeCapError
 from .partition import (
     HallPartition,
@@ -35,12 +33,14 @@ class InvalidPartitionError(ValueError):
     """A partition handed in for kernel extraction failed validation."""
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(_Record):
     """A point-valued choice ``x -> y`` with one value per domain element."""
 
-    x_labels: tuple
-    values: tuple
+    __slots__ = __match_args__ = ("x_labels", "values")
+
+    def __init__(self, x_labels: tuple, values: tuple):
+        object.__setattr__(self, "x_labels", x_labels)
+        object.__setattr__(self, "values", values)
 
     def __getitem__(self, x: Label):
         if x not in self.x_labels:
@@ -54,8 +54,7 @@ class Selection:
         return dict(zip(self.x_labels, self.values))
 
 
-@dataclass(frozen=True)
-class KernelMapping:
+class KernelMapping(_Record):
     """A submapping of ``base`` holding each element's kernel image.
 
     Either every image is nonempty (a selection exists) or every image is
@@ -63,9 +62,16 @@ class KernelMapping:
     violating subset in the empty case and does not take part in equality.
     """
 
-    base: FiniteMapping
-    images: tuple[frozenset, ...]
-    witness: HallViolation | None = field(default=None, compare=False)
+    __slots__ = __match_args__ = ("base", "images", "witness")
+
+    def __init__(self, base: FiniteMapping, images: tuple[frozenset, ...],
+                 witness: HallViolation | None = None):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "witness", witness)
+
+    def _key(self) -> tuple:
+        return self.base, self.images
 
     @property
     def is_empty(self) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
 from itertools import combinations
-from typing import Any
 
 Label = Hashable
 
@@ -45,6 +44,43 @@ def bit_indices(bits: int):
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+class _Record:
+    """Value semantics for a result record whose fields are its ``__slots__``.
+
+    Fields are set in ``__init__`` with ``object.__setattr__``: assigning or
+    deleting one raises :class:`AttributeError`.  Records of one class are
+    equal when their :meth:`_key`, all fields unless narrowed, are equal, and
+    hash by it; the repr is a dataclass's, and pickle and :mod:`copy` call
+    the class on the fields in slot order.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
 
 
 class FiniteMapping:
@@ -173,7 +209,7 @@ class FiniteMapping:
 
     # -- value semantics ---------------------------------------------------
 
-    def __eq__(self, other: Any) -> bool:
+    def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteMapping):
             return NotImplemented
         return (self.x_labels == other.x_labels

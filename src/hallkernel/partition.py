@@ -39,7 +39,6 @@ goes on to find its own witness.  :func:`hall_scan` gives the argument.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .mappings import (
     ENUMERATION_CAP,
@@ -49,6 +48,7 @@ from .mappings import (
     is_critical,
     is_non_reducible,
     residual,
+    _Record,
 )
 
 #: Steps over more positions than this are finished by
@@ -72,8 +72,7 @@ class ExitKind(enum.Enum):
     LAST_BLOCK_NONCRITICAL = "LastBlockNonCritical"
 
 
-@dataclass(frozen=True)
-class HallPartition:
+class HallPartition(_Record):
     """Blocks of a Hall partition with their residual images.
 
     ``residual_images[i]`` holds the values available to ``blocks[i]`` after
@@ -81,16 +80,22 @@ class HallPartition:
     are pairwise disjoint and together cover the image of the whole domain.
     """
 
-    blocks: tuple[frozenset, ...]
-    residual_images: tuple[frozenset, ...]
-    exit_kind: ExitKind
+    __slots__ = __match_args__ = ("blocks", "residual_images", "exit_kind")
+
+    def __init__(self, blocks: tuple[frozenset, ...],
+                 residual_images: tuple[frozenset, ...], exit_kind: ExitKind):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "residual_images", residual_images)
+        object.__setattr__(self, "exit_kind", exit_kind)
 
 
-@dataclass(frozen=True)
-class HallViolation:
+class HallViolation(_Record):
     """A witness subset of the domain whose image is smaller than itself."""
 
-    witness: frozenset
+    __slots__ = __match_args__ = ("witness",)
+
+    def __init__(self, witness: frozenset):
+        object.__setattr__(self, "witness", witness)
 
 
 def hall_scan(image_bits):

@@ -25,9 +25,8 @@ re-propagates from the units that promotion changed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
-from .mappings import DomainError, FiniteMapping, bit_indices
+from .mappings import DomainError, FiniteMapping, _Record, bit_indices
 from .kernel import kernel_bits
 from .kernel import alldifferent_kernel  # wrapped by perfbench/run.py's TRACED
 
@@ -64,13 +63,15 @@ class Contradiction(Exception):
         self.cells = frozenset(cells)
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(_Record):
     """One row, column or block: nine cells that must hold nine distinct digits."""
 
-    kind: str
-    index: int
-    cells: tuple[Cell, ...]
+    __slots__ = __match_args__ = ("kind", "index", "cells")
+
+    def __init__(self, kind: str, index: int, cells: tuple[Cell, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "cells", cells)
 
     def __str__(self) -> str:
         return f"{self.kind} {self.index}"
@@ -111,17 +112,23 @@ _UNIT_BITS, _SLOT_UNITS, _NEIGHBOR_SLOTS = _build_tables()
 _ALL_UNIT_BITS = (1 << len(ALL_UNITS)) - 1
 
 
-@dataclass
-class SudokuGrid:
+class SudokuGrid(_Record):
     """Givens plus the candidate digits of every unpopulated cell.
 
     :func:`propagate` and :func:`solve` never mutate a grid they are given;
     they return a new one.  Two grids compare equal when both the givens and
-    the candidates agree.
+    the candidates agree.  A grid is mutable, so it is not hashable.
     """
 
-    givens: dict[Cell, int] = field(default_factory=dict)
-    candidates: dict[Cell, set[int]] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("givens", "candidates")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, givens: dict[Cell, int] | None = None,
+                 candidates: dict[Cell, set[int]] | None = None):
+        self.givens = {} if givens is None else givens
+        self.candidates = {} if candidates is None else candidates
 
     @property
     def is_complete(self) -> bool:

@@ -466,6 +466,27 @@ def test_closed_pipe_exits_141_quietly(tmp_path):
         assert child.wait(timeout=60) == 141
 
 
+def test_a_process_imports_only_what_its_subcommand_runs(tmp_path, capsys):
+    # ``-S`` keeps out what the interpreter's site hooks import on their own.
+    script = ("import sys\nfrom hallkernel.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(sorted({'hallkernel.sudoku', 'dataclasses', 'inspect'}"
+              " & set(sys.modules)))\nsys.exit(code)\n")
+
+    def cli(*argv):
+        done = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        *out, loaded = done.stdout.splitlines()
+        return done.returncode, "".join(line + "\n" for line in out), done.stderr, loaded
+
+    kernel = ["kernel", "--input", write(tmp_path, "m1.txt", M1_TEXT)]
+    assert cli(*kernel) == (*run(capsys, kernel), "[]")
+    code, out, err, loaded = cli("sudoku", "solve", "--input",
+                                 write(tmp_path, "inkala.txt", INKALA))
+    assert (code, out, err) == (0, render(solve(parse_grid(INKALA))) + "\n", "")
+    assert loaded == "['hallkernel.sudoku']"
+
+
 def _mapping_documents():
     # Every 3x3 mapping with and without its X:/Y: headers, 300 seeded random
     # mappings up to 7x7, and every document test_bad_documents rejects.
