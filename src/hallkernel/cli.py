@@ -4,14 +4,16 @@ Subcommands: ``check``, ``partition``, ``kernel``, ``select``, ``enumerate``
 over mapping documents, and ``sudoku propagate`` / ``sudoku solve`` over
 81-character grid lines.  Exit codes: 0 success, 1 Hall violation /
 contradiction / unsolvable (with the witness printed), 2 parse or validity
-error (invalid UTF-8 included), 3 size cap exceeded, 141 (128 + SIGPIPE) the
-reader closed standard output early (nothing is written to stderr).  A Sudoku
-batch gets one record per grid line and exits with the worst code over its lines.
+error (invalid UTF-8 included), 3 an exhaustive enumeration over the cap was
+refused, 141 (128 + SIGPIPE) the reader closed standard output early (nothing
+is written to stderr).  A Sudoku batch gets one record per grid line and exits
+with the worst code over its lines.
 
 Every subcommand returns ``(exit code, JSON payload, text lines)``; only
 :func:`main` chooses between the two output formats.  A process imports only
 what its subcommand runs: :mod:`hallkernel.sudoku` is loaded by the sudoku
-handlers alone, which report a bad grid as a :class:`DocumentError`.
+handlers alone, which report a bad grid as a :class:`DocumentError`, and
+:mod:`json` by ``--format json`` alone.
 
 Mapping document format: ``#`` starts a comment; optional ``X:`` / ``Y:``
 header lines list whitespace-separated element tokens; every body line is
@@ -22,11 +24,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
-from .mappings import FiniteMapping, InvalidMappingError, SizeCapError
+from .mappings import FiniteMapping, InvalidMappingError, SizeCapError, check_size_cap
 from .partition import HallViolation, check_hall, compute_hall_partition
 from .kernel import alldifferent_kernel, extract_selection, iter_selections
 from .oracle import SELECTION_CAP
@@ -194,9 +195,8 @@ def _cmd_select(mapping: FiniteMapping):
 
 
 def _cmd_enumerate(mapping: FiniteMapping):
-    if len(mapping.x_labels) > SELECTION_CAP:  # the output can grow as n!
-        raise SizeCapError(f"selection enumeration over {len(mapping.x_labels)} "
-                           f"elements exceeds the cap of {SELECTION_CAP}")
+    # The output can grow as n!.
+    check_size_cap("selection enumeration", len(mapping.x_labels), SELECTION_CAP)
     selections = list(iter_selections(mapping))
     return (0, {"selections": [{str(x): str(y) for x, y in s.items()}
                                for s in selections]},
@@ -314,6 +314,7 @@ def main(argv=None) -> int:
         return 3 if isinstance(exc, SizeCapError) else 2
     try:
         if args.format == "json":
+            import json
             print(json.dumps(payload))
         elif lines:
             print("\n".join(lines))

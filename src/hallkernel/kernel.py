@@ -11,13 +11,13 @@ struck); when no selection exists, the kernel degenerates to all-empty images
 :func:`kernel_bits` reads it off one bitset :func:`hall_scan`; a kernel of
 one block is the images themselves, handed back as the same read-only object.
 :func:`iter_selections` walks the images' complete matchings, which are the
-selections, with no scan.  Labels appear only in the public results.
+selections, with no scan.  Labels appear only in the public results.  No size
+is refused here: only a violation's witness can need the scan's capped walk.
 """
 
 from __future__ import annotations
 
 from .mappings import DomainError, FiniteMapping, Label, complement, _Record
-from .mappings import ENUMERATION_CAP, SizeCapError
 from .partition import (
     HallPartition,
     HallViolation,
@@ -192,7 +192,8 @@ def iter_selections(mapping: FiniteMapping):
     """Every alldifferent selection, in :func:`.oracle.enumerate_selections` order.
 
     That is lexicographic order, as in :func:`extract_selection`; none on a
-    Hall violation.  The work between two selections is polynomial (Uno 1997).
+    Hall violation.  The work between two selections is polynomial (Uno 1997),
+    so no size is refused.
 
     Proof sketch.  By definition the selections are the complete matchings
     of the images, so the kernel drops out.  The walk is depth first, each
@@ -205,9 +206,6 @@ def iter_selections(mapping: FiniteMapping):
     values visited, whatever M becomes, and drops them for good.
     """
     res = mapping.image_bits
-    if len(res) > ENUMERATION_CAP:  # the scan's cap and wording: one contract
-        raise SizeCapError(
-            f"partition scan over {len(res)} elements exceeds the cap of {ENUMERATION_CAP}")
     matching = complete_matching(res)
     if matching is None:
         return

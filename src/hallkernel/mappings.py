@@ -20,9 +20,9 @@ from itertools import combinations
 
 Label = Hashable
 
-#: Soft limit on the size of a set whose subsets get enumerated exhaustively
-#: (non-reducibility checks, the partition scan).  The work is Theta(2^n) by
-#: design; past this point it is never going to finish at a desk.
+#: Limit on the size of a set whose subsets get enumerated exhaustively (a
+#: non-reducibility check, a scan step no matching finishes): Theta(2^n) work
+#: that past this point is never going to finish at a desk.
 ENUMERATION_CAP = 24
 
 
@@ -36,6 +36,12 @@ class InvalidMappingError(ValueError):
 
 class SizeCapError(RuntimeError):
     """An exhaustive enumeration would exceed the configured size cap."""
+
+
+def check_size_cap(what: str, n: int, cap: int) -> None:
+    """Refuse an exhaustive ``what`` over ``n`` elements when ``n`` exceeds ``cap``."""
+    if n > cap:
+        raise SizeCapError(f"{what} over {n} elements exceeds the cap of {cap}")
 
 
 def bit_indices(bits: int):
@@ -282,10 +288,7 @@ def is_non_reducible(mapping: FiniteMapping, members: Iterable[Label]) -> bool:
     if bits == 0:
         return False
     indices = list(bit_indices(bits))
-    if len(indices) > ENUMERATION_CAP:
-        raise SizeCapError(
-            f"non-reducibility check over {len(indices)} elements exceeds the "
-            f"cap of {ENUMERATION_CAP}")
+    check_size_cap("non-reducibility check", len(indices), ENUMERATION_CAP)
     for size in range(1, len(indices)):
         for combo in combinations(indices, size):
             img = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .mappings import FiniteMapping, SizeCapError
+from .mappings import FiniteMapping, check_size_cap
 from .partition import HallViolation
 from .kernel import KernelMapping, Selection
 
@@ -28,9 +28,7 @@ def enumerate_selections(mapping: FiniteMapping, *, cap: int = SELECTION_CAP,
     if limit is not None and limit < 0:
         raise ValueError(f"limit {limit} is negative")
     xs = mapping.x_labels
-    if len(xs) > cap:
-        raise SizeCapError(
-            f"selection enumeration over {len(xs)} elements exceeds the cap of {cap}")
+    check_size_cap("selection enumeration", len(xs), cap)
     ordered_images = [tuple([y for y in mapping.y_labels if y in mapping.image(x)])
                       for x in xs]
     found: list[Selection] = []
@@ -71,9 +69,7 @@ def oracle_hall_check(mapping: FiniteMapping) -> HallViolation | None:
     order; ``None`` when the Hall condition holds.
     """
     xs = mapping.x_labels
-    if len(xs) > SUBSET_SCAN_CAP:
-        raise SizeCapError(
-            f"subset scan over {len(xs)} elements exceeds the cap of {SUBSET_SCAN_CAP}")
+    check_size_cap("subset scan", len(xs), SUBSET_SCAN_CAP)
     images = {x: mapping.image(x) for x in xs}
     for size in range(1, len(xs) + 1):
         for combo in combinations(xs, size):
@@ -95,10 +91,7 @@ def oracle_hall_scan(image_bits):
     ``(block_bits, residual_bits)`` or that witness.
     """
     positions = list(range(len(image_bits)))
-    if len(positions) > SUBSET_SCAN_CAP:
-        raise SizeCapError(
-            f"subset scan over {len(positions)} elements exceeds the cap of "
-            f"{SUBSET_SCAN_CAP}")
+    check_size_cap("subset scan", len(positions), SUBSET_SCAN_CAP)
     blocks: list[int] = []
     residuals: list[int] = []
     struck = 0

@@ -11,12 +11,12 @@ least as large as the subset), and it is unique up to renumbering.
 lex)-first subset of what remains whose residual image is no larger than
 itself, or else the whole rest.  A smaller residual image certifies a
 Hall-condition violation instead, returned as a value, never raised.  The
-scan runs on bitsets and applies the size cap; labels appear only in
-:func:`compute_hall_partition`, which reads the exit kind off the last block,
-and :func:`check_hall`.  A one-element block is peeled in place from the lists
-of positions and images the scan carries from step to step, so a forced chain
-builds no list per step.  A step whose hit is the whole rest ends the scan
-there, as its last block.
+scan runs on bitsets; labels appear only in :func:`compute_hall_partition`,
+which reads the exit kind off the last block, and :func:`check_hall`.  A
+one-element block is peeled in place from the lists of positions and images
+the scan carries from step to step, so a forced chain builds no list per
+step.  A step whose hit is the whole rest ends the scan there, as its last
+block.
 
 A step with no hit of size 1 first counts, in one pass over its residual
 images, how many values each image has and how many images hold each value.
@@ -43,7 +43,7 @@ import enum
 from .mappings import (
     ENUMERATION_CAP,
     FiniteMapping,
-    SizeCapError,
+    check_size_cap,
     image_of_set,
     is_critical,
     is_non_reducible,
@@ -112,8 +112,7 @@ def hall_scan(image_bits):
     lies below it, and the first combination the walk completes is the
     lexicographically first hit of that size.  Sizes below the smallest
     residual image are cut at the first position.  Returns ``(block_bits,
-    residual_bits)``, or the witness bitset; more than ``ENUMERATION_CAP``
-    positions raise :class:`SizeCapError` up front.
+    residual_bits)``, or the witness bitset.
 
     The positions left and their raw images are carried from step to step in
     two lists, with the positions taken into blocks and the values struck by
@@ -154,8 +153,10 @@ def hall_scan(image_bits):
     the Hall condition fails, here and in every later step (a complete matching
     of what a tight set leaves, joined with one of the tight set, would be
     complete), so the scan goes on as above and returns its own (size,
-    lex)-first witness.  If the matching covers every position, all later
-    blocks are read off it, and they are the scan's blocks in the scan's order.
+    lex)-first witness; a step of more than ``ENUMERATION_CAP`` positions
+    raises :class:`.SizeCapError` instead of walking.  If the matching covers
+    every position, all later blocks are read off it, and they are the scan's
+    blocks in the scan's order.
     The matching puts |S| values of N'(S) on S, so S is tight exactly when
     every value of N'(S) is matched into S: S reaches no unmatched value and is
     closed under successors (p -> q when N'(p) holds the value matched to q).
@@ -179,9 +180,6 @@ def hall_scan(image_bits):
     is its members' images less them.
     """
     n = len(image_bits)
-    if n > ENUMERATION_CAP:
-        raise SizeCapError(
-            f"partition scan over {n} elements exceeds the cap of {ENUMERATION_CAP}")
     matching = True
     indices = list(range(n))
     images = list(image_bits)
@@ -204,11 +202,13 @@ def hall_scan(image_bits):
                 break
         else:
             res = [b & keep for b in images] if struck else images
-            if matching and len(res) > MATCHING_CUTOFF:
-                rest = _matching_completion(indices, res)
-                if rest is not None:
-                    return tuple(block_bits + rest[0]), tuple(residual_bits + rest[1])
-                matching = False
+            if len(res) > MATCHING_CUTOFF:
+                if matching:
+                    rest = _matching_completion(indices, res)
+                    if rest is not None:
+                        return tuple(block_bits + rest[0]), tuple(residual_bits + rest[1])
+                    matching = False
+                check_size_cap("partition scan", len(res), ENUMERATION_CAP)
             combo, img = _first_fit_counted(res)
             if combo is None:  # the whole rest: the last block, or the witness
                 if img.bit_count() < len(res):

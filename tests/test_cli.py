@@ -245,11 +245,17 @@ class TestMappingCommands:
             3, "", f"error: {refused.value}\n")
 
     def test_kernel_size_cap_exit_code(self, capsys, tmp_path):
-        values = " ".join(f"y{i}" for i in range(25))
+        # K25,24 has no complete matching, so its scan would walk 25 positions.
+        values = " ".join(f"y{i}" for i in range(24))
         path = write(tmp_path, "wide.txt", "".join(f"x{i} : {values}\n" for i in range(25)))
         code, out, err = run(capsys, ["kernel", "--input", path])
         assert (code, out) == (3, "")
         assert "exceeds the cap of 24" in err
+        values = " ".join(f"y{i}" for i in range(25))
+        path = write(tmp_path, "full.txt", "".join(f"x{i} : {values}\n" for i in range(25)))
+        code, out, err = run(capsys, ["kernel", "--input", path])
+        assert (code, out, err) == (
+            0, "".join(f"x{i}: {values}\n" for i in range(25)), "")
 
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run(capsys, ["check", "--input", "/nonexistent/f.txt"])
@@ -469,7 +475,7 @@ def test_closed_pipe_exits_141_quietly(tmp_path):
 def test_a_process_imports_only_what_its_subcommand_runs(tmp_path, capsys):
     # ``-S`` keeps out what the interpreter's site hooks import on their own.
     script = ("import sys\nfrom hallkernel.cli import main\ncode = main(sys.argv[1:])\n"
-              "print(sorted({'hallkernel.sudoku', 'dataclasses', 'inspect'}"
+              "print(sorted({'hallkernel.sudoku', 'dataclasses', 'inspect', 'json'}"
               " & set(sys.modules)))\nsys.exit(code)\n")
 
     def cli(*argv):

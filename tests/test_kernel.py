@@ -147,9 +147,46 @@ class TestPuncturedMapping:
                                    is_alldifferent, has_unique_selection,
                                    extract_selection])
 def test_size_cap_at_every_entry_point(entry):
-    wide = FiniteMapping.from_dict({i: range(25) for i in range(25)})
-    with pytest.raises(SizeCapError, match="exceeds the cap of 24"):
+    # K25,24 violates Hall with no size-1 witness, so the scan must walk 25.
+    wide = FiniteMapping.from_dict({i: range(24) for i in range(25)})
+    with pytest.raises(SizeCapError,
+                       match="^partition scan over 25 elements exceeds the cap of 24$"):
         entry(wide)
+
+
+def closed_forms(n):
+    """Families with known answers, as ``(images, partition, kernel images,
+    is_alldifferent, has_unique_selection)``; the least selection of each is
+    the identity."""
+    every = frozenset(range(n))
+    path = [frozenset({i, i + 1}) for i in range(n)]
+    singles = [frozenset({i}) for i in range(n)]
+    critical, noncritical = ExitKind.LAST_BLOCK_CRITICAL, ExitKind.LAST_BLOCK_NONCRITICAL
+    return {
+        "path": (path, HallPartition((every,), (every | {n},), noncritical),
+                 path, True, False),
+        "triangular": ([frozenset(range(i + 1)) for i in range(n)],
+                       HallPartition(tuple(singles), tuple(singles), critical),
+                       singles, False, True),
+        "complete": ([every] * n, HallPartition((every,), (every,), critical),
+                     [every] * n, True, False),
+        "singletons": (singles, HallPartition(tuple(singles), tuple(singles), critical),
+                       singles, True, True),
+    }
+
+
+@pytest.mark.parametrize("family", ["path", "triangular", "complete", "singletons"])
+@pytest.mark.parametrize("n", [25, 40, 60])
+def test_closed_forms_above_the_cap(n, family):
+    images, partition, kernel, alldifferent, unique = closed_forms(n)[family]
+    f = FiniteMapping.from_dict(dict(enumerate(images)))
+    assert compute_hall_partition(f) == partition
+    assert check_hall(f) is None
+    assert alldifferent_kernel(f).images == tuple(kernel)
+    assert is_alldifferent(f) is alldifferent
+    assert has_unique_selection(f) is unique
+    assert extract_selection(f).values == tuple(range(n))
+    assert next(iter_selections(f)).values == tuple(range(n))
 
 
 @given(mappings(max_x=5, max_y=5))
@@ -303,17 +340,27 @@ def test_triangular_chain_has_one_selection():
     assert [s.values for s in iter_selections(f)] == [tuple(range(20))]
 
 
-def test_iter_selections_size_cap():
-    wide = FiniteMapping.from_dict({i: range(25) for i in range(25)})
-    with pytest.raises(SizeCapError, match="exceeds the cap of 24"):
-        next(iter_selections(wide))
+def test_iter_selections_size_cap(monkeypatch):
+    # The walk is polynomial, so no size is refused.
+    complete = FiniteMapping.from_dict({i: range(25) for i in range(25)})
+    assert next(iter_selections(complete)).values == tuple(range(25))
+
+    def refuse(*args):
+        raise AssertionError("a selection walk ran the scan")
+
+    monkeypatch.setattr("hallkernel.kernel.kernel_bits", refuse)
+    monkeypatch.setattr("hallkernel.kernel.hall_scan", refuse)
+    wide = FiniteMapping.from_dict({i: range(24) for i in range(25)})
+    assert list(iter_selections(wide)) == []
 
 
 def test_violator_above_the_cap_is_refused():
-    # The cap is checked before the matching that would find no selection.
-    pigeons = FiniteMapping.from_dict({i: {0} for i in range(25)})
+    # A witness the size-1 pass finds needs no walk; K25,24's needs one over 25.
+    wide = FiniteMapping.from_dict({i: range(24) for i in range(25)})
     with pytest.raises(SizeCapError, match="exceeds the cap of 24"):
-        extract_selection(pigeons)
+        extract_selection(wide)
+    pigeons = FiniteMapping.from_dict({i: {0} for i in range(25)})
+    assert extract_selection(pigeons) == HallViolation(frozenset({0, 1}))
 
 
 @pytest.mark.parametrize("f", [

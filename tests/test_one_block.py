@@ -4,16 +4,17 @@ A scan step whose hit is everything left ends the scan there, and a kernel of
 one block is the images themselves, the very object passed in.  These tests
 compare :func:`hall_scan` with :func:`oracle_hall_scan`, and
 :func:`kernel_bits` with the kernel by definition, on the inputs that take
-those paths: every 3x3 mapping, seeded square mappings built as one block
-(critical or not), as a violation of the whole domain, or as a chain that
-leaves one or two positions, and every unit key a Sudoku solve hands the
-kernel.
+those paths: every 3x3 mapping, every tuple of four images over four values,
+seeded square mappings built as one block (critical or not), as a violation
+of the whole domain, or as a chain that leaves one or two positions, and
+every unit key a Sudoku solve hands the kernel.
 """
 
 import hashlib
 import random
 from collections import Counter
 from functools import cache
+from itertools import product
 
 import pytest
 
@@ -141,6 +142,21 @@ def test_all_3x3_mappings(steps):
     assert shapes == {1: 34, 2: 63, 3: 150, "witness": 265}
     # Each mapping is scanned twice: once by hall_scan, once inside kernel_bits.
     assert steps == {"whole rest": 140, "hit": 60, "at most two": 72}
+
+
+def test_all_4x4_image_tuples():
+    # A witness W is the blocks taken before a position left with no value,
+    # so its image is exactly one value short: |N(W)| = |W| - 1.
+    witnesses = 0
+    for bits in product(range(16), repeat=4):
+        scan = assert_one_block_agrees(bits)
+        if isinstance(scan, int):
+            witnesses += 1
+            image = 0
+            for i in bit_indices(scan):
+                image |= bits[i]
+            assert image.bit_count() == scan.bit_count() - 1
+    assert witnesses == 27713
 
 
 @pytest.mark.parametrize("density", [0.1, 0.6])

@@ -81,6 +81,22 @@ def test_cli_runs_no_oracle_code():
                                      if isinstance(node, ast.FunctionDef)}
 
 
+def test_size_caps_are_raised_by_one_helper():
+    # The cap policy and its message live in mappings.check_size_cap; every
+    # other cap check calls it.
+    def constructed(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", getattr(call.func, "attr", None))
+                == "SizeCapError"]
+
+    nodes = list(package_nodes())
+    assert [(name, node.name) for name, node in nodes
+            if isinstance(node, ast.FunctionDef) and constructed(node)] == [
+        ("mappings.py", "check_size_cap")]
+    assert sum(len(constructed(node)) for _, node in nodes
+               if isinstance(node, ast.Module)) == 1
+
+
 def test_no_unused_imports():
     # The two names perfbench/run.py's tracer wraps are imported for it alone
     # (see test_perfbench_hooks); any other unused import is dead code.  A

@@ -56,9 +56,15 @@ class TestComputeHallPartition:
         assert got == HallViolation(witness=frozenset({1, 2}))
 
     def test_domain_cap(self):
-        wide = FiniteMapping.from_dict({i: {i} for i in range(25)})
+        # Only a step the matching leaves to the walk is capped: K25,24.
+        wide = FiniteMapping.from_dict({i: range(24) for i in range(25)})
         with pytest.raises(SizeCapError):
             compute_hall_partition(wide)
+        singletons = FiniteMapping.from_dict({i: {i} for i in range(25)})
+        assert compute_hall_partition(singletons) == HallPartition(
+            tuple(frozenset({i}) for i in range(25)),
+            tuple(frozenset({i}) for i in range(25)),
+            ExitKind.LAST_BLOCK_CRITICAL)
 
     def test_pruning_changes_nothing(self):
         for f in (M1, PERM4, FiniteMapping.from_dict({1: {1, 2}, 2: {1, 2, 3}})):
@@ -596,6 +602,16 @@ def test_violation_witnesses_are_genuine(f):
     got = compute_hall_partition(f)
     if isinstance(got, HallViolation):
         assert len(image_of_set(f, got.witness)) < len(got.witness)
+
+
+@given(st.lists(st.integers(0, (1 << 14) - 1), min_size=1, max_size=14))
+@settings(max_examples=200)
+def test_witness_image_is_one_short(bits):
+    # The scan's witness is the blocks taken plus one position left empty.
+    witness = hall_scan(bits)
+    if isinstance(witness, int):
+        image = reduce(or_, [b for i, b in enumerate(bits) if witness >> i & 1])
+        assert image.bit_count() == witness.bit_count() - 1
 
 
 @given(mappings(max_x=6, max_y=6))
