@@ -10,6 +10,7 @@ filter to candidate elimination.
 
 from .mappings import (
     ENUMERATION_CAP,
+    SELECTION_CAP,
     DomainError,
     FiniteMapping,
     InvalidMappingError,
@@ -41,13 +42,17 @@ from .kernel import (
     kernel_from_partition,
     punctured_mapping,
 )
-from .oracle import (
-    SELECTION_CAP,
-    SUBSET_SCAN_CAP,
-    enumerate_selections,
-    oracle_hall_check,
-    oracle_kernel,
-)
+
+
+def __getattr__(name):
+    # The oracle is loaded on first use of one of its names (PEP 562), so
+    # that importing the package, the CLI included, does not load it.
+    if name in ("SUBSET_SCAN_CAP", "enumerate_selections", "oracle_hall_check",
+                "oracle_kernel"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ENUMERATION_CAP",

@@ -12,8 +12,9 @@ with the worst code over its lines.
 Every subcommand returns ``(exit code, JSON payload, text lines)``; only
 :func:`main` chooses between the two output formats.  A process imports only
 what its subcommand runs: :mod:`hallkernel.sudoku` is loaded by the sudoku
-handlers alone, which report a bad grid as a :class:`DocumentError`, and
-:mod:`json` by ``--format json`` alone.
+handlers alone, which report a bad grid as a :class:`DocumentError`,
+:mod:`json` by ``--format json`` alone, and :mod:`hallkernel.oracle`, the
+tests' reference, by none.
 
 Mapping document format: ``#`` starts a comment; optional ``X:`` / ``Y:``
 header lines list whitespace-separated element tokens; every body line is
@@ -27,10 +28,15 @@ import functools
 import os
 import sys
 
-from .mappings import FiniteMapping, InvalidMappingError, SizeCapError, check_size_cap
+from .mappings import (
+    SELECTION_CAP,
+    FiniteMapping,
+    InvalidMappingError,
+    SizeCapError,
+    check_size_cap,
+)
 from .partition import HallViolation, check_hall, compute_hall_partition
 from .kernel import alldifferent_kernel, extract_selection, iter_selections
-from .oracle import SELECTION_CAP
 
 
 class DocumentError(ValueError):

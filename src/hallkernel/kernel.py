@@ -152,14 +152,12 @@ def is_alldifferent(mapping: FiniteMapping) -> bool:
 def has_unique_selection(mapping: FiniteMapping) -> bool:
     """Whether exactly one alldifferent selection exists.
 
-    Holds exactly when a Hall partition exists with as many blocks as the
-    whole domain has image values; all kernel images are then singletons.
+    Holds exactly when a Hall partition exists and every residual image holds
+    one value; every block is then one element, and every kernel image that
+    value.
     """
     result = hall_scan(mapping.image_bits)
-    if isinstance(result, int):
-        return False
-    total_image = mapping.image_bits_of(mapping.full_x_bits).bit_count()
-    return len(result[0]) == total_image
+    return not isinstance(result, int) and all(r & (r - 1) == 0 for r in result[1])
 
 
 def punctured_mapping(mapping: FiniteMapping, x: Label, y: Label) -> FiniteMapping:

@@ -25,6 +25,11 @@ Label = Hashable
 #: that past this point is never going to finish at a desk.
 ENUMERATION_CAP = 24
 
+#: Limit on the domain size of a listing of every selection (the oracle's
+#: ``enumerate_selections``, ``hallkernel enumerate``): the output can grow
+#: as n!.
+SELECTION_CAP = 12
+
 
 class DomainError(ValueError):
     """An element was used against a ground set it does not belong to."""
@@ -35,7 +40,7 @@ class InvalidMappingError(ValueError):
 
 
 class SizeCapError(RuntimeError):
-    """An exhaustive enumeration would exceed the configured size cap."""
+    """An exhaustive enumeration would exceed its size cap."""
 
 
 def check_size_cap(what: str, n: int, cap: int) -> None:

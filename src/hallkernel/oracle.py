@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .mappings import FiniteMapping, check_size_cap
+from .mappings import SELECTION_CAP, FiniteMapping, check_size_cap
 from .partition import HallViolation
 from .kernel import KernelMapping, Selection
 
-SELECTION_CAP = 12
 SUBSET_SCAN_CAP = 20
 
 

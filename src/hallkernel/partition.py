@@ -125,10 +125,18 @@ def hall_scan(image_bits):
     nothing mutates), and a hit of several positions rebuilds the two lists.
     A hit of every position left ends the scan at once: the block is every
     position not taken, with the step's union as its residual image, and no
-    position is read off one by one and no list is rebuilt.  Its union is
-    never smaller than the step (any m - 1 of its positions would then be a
-    hit first, and a step of one or two has at least two values), but were
-    it, the witness would be the whole domain, which the scan returns.
+    position is read off one by one and no list is rebuilt.
+
+    Only the size-1 pass yields a witness; a walked hit, the whole rest
+    included, is always a block.  Take a walked hit S with |N'(S)| < |S|.
+    Dropping any one position p leaves S - p, whose image has at most |S| - 1
+    values, so S - p is a hit too, one size smaller.  At size 1 the inline
+    pass finds it before any walk; at a larger size the walk, which tries
+    sizes in increasing order and never skips a size that holds a hit (the
+    counts below), stops there first.  So S is never the walked hit.
+    :func:`.oracle.oracle_hall_scan` keeps the general rule and returns a
+    witness for such a set, so the differential tests would catch a deficient
+    set taken as a block.
 
     A step over m positions whose size-1 pass has no hit makes one pass over
     the residual images for their value counts, their union U of u values, and
@@ -210,17 +218,13 @@ def hall_scan(image_bits):
                     matching = False
                 check_size_cap("partition scan", len(res), ENUMERATION_CAP)
             combo, img = _first_fit_counted(res)
-            if combo is None:  # the whole rest: the last block, or the witness
-                if img.bit_count() < len(res):
-                    return (1 << n) - 1
+            if combo is None:  # the whole rest: the last block
                 block_bits.append(((1 << n) - 1) ^ taken)
                 residual_bits.append(img)
                 break
             wbits = 0
             for k in combo:
                 wbits |= 1 << indices[k]
-            if img.bit_count() < len(combo):
-                return wbits | taken
             block_bits.append(wbits)
             residual_bits.append(img)
             taken |= wbits

@@ -233,7 +233,8 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
 def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
     # The grid's givens and candidate masks as 81-slot lists, each given's
     # digit struck from its neighbours' masks through the 27 units' masks of
-    # given digits.  A cell off the grid, a digit outside 1..9 or a cell with
+    # given digits; a digit listed twice among a cell's candidates counts
+    # once.  A cell off the grid, a digit outside 1..9 or a cell with
     # both a given and candidates is a GridError; two neighbouring givens with
     # one digit, or an open cell left with no candidate, contradict.  Each
     # given is checked for its digit, then for candidates, then for a clash,
@@ -246,7 +247,7 @@ def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
     for cell, digits in grid.candidates.items():
         if not DIGITS.issuperset(digits):
             raise GridError(f"cell {cell} has candidates outside 1..9: {digits!r}")
-        masks[_SLOT_OF[cell]] = sum(1 << d for d in digits)
+        masks[_SLOT_OF[cell]] = sum({1 << d for d in digits})
     used = [0] * len(ALL_UNITS)  # each unit's mask of given digits
     for cell, digit in grid.givens.items():
         if digit not in DIGITS:
@@ -337,14 +338,16 @@ def _promote(givens: list, masks: list, slots, visited: int) -> int:
     # search branch, else the bit of the unit whose kernel found ``slots``:
     # each one's digit is in no other kernel image of that unit, so promoting
     # it changes nothing there, and a cascade that strikes one of the unit's
-    # cells marks it as a neighbour's unit.
+    # cells marks it as a neighbour's unit.  Every slot is dequeued once, with
+    # a one-bit mask: the starting slots are distinct singles, a cascade
+    # queues a slot only when a strike takes it from two or more candidates
+    # to one, and a single loses its digit only by raising Contradiction.
+    # (An empty mask would give digit -1, and ``cand >> -1`` raises.)
     dirty = 0
     queue = deque(slots)
     while queue:
         i = queue.popleft()
         mask, masks[i] = masks[i], 0
-        if not mask:
-            continue
         givens[i] = digit = mask.bit_length() - 1
         dirty |= _UNIT_BITS[i] & ~visited
         for j in _NEIGHBOR_SLOTS[i]:

@@ -475,8 +475,8 @@ def test_closed_pipe_exits_141_quietly(tmp_path):
 def test_a_process_imports_only_what_its_subcommand_runs(tmp_path, capsys):
     # ``-S`` keeps out what the interpreter's site hooks import on their own.
     script = ("import sys\nfrom hallkernel.cli import main\ncode = main(sys.argv[1:])\n"
-              "print(sorted({'hallkernel.sudoku', 'dataclasses', 'inspect', 'json'}"
-              " & set(sys.modules)))\nsys.exit(code)\n")
+              "print(sorted({'hallkernel.oracle', 'hallkernel.sudoku', 'dataclasses',"
+              " 'inspect', 'json'} & set(sys.modules)))\nsys.exit(code)\n")
 
     def cli(*argv):
         done = subprocess.run([sys.executable, "-S", "-c", script, *argv],
@@ -485,8 +485,9 @@ def test_a_process_imports_only_what_its_subcommand_runs(tmp_path, capsys):
         *out, loaded = done.stdout.splitlines()
         return done.returncode, "".join(line + "\n" for line in out), done.stderr, loaded
 
-    kernel = ["kernel", "--input", write(tmp_path, "m1.txt", M1_TEXT)]
-    assert cli(*kernel) == (*run(capsys, kernel), "[]")
+    for command in ("kernel", "enumerate"):
+        argv = [command, "--input", write(tmp_path, "m1.txt", M1_TEXT)]
+        assert cli(*argv) == (*run(capsys, argv), "[]")
     code, out, err, loaded = cli("sudoku", "solve", "--input",
                                  write(tmp_path, "inkala.txt", INKALA))
     assert (code, out, err) == (0, render(solve(parse_grid(INKALA))) + "\n", "")

@@ -64,6 +64,8 @@ class TestConstruction:
         assert again == M1
         assert hash(again) == hash(M1)
         assert M1 != FiniteMapping.from_dict({1: {1}, 2: {1, 2}, 3: {1, 2, 3}})
+        assert M1.__eq__(1) is NotImplemented
+        assert M1 != 1
 
 
 class TestImageOfSet:
@@ -77,6 +79,8 @@ class TestImageOfSet:
     def test_unknown_element(self):
         with pytest.raises(DomainError):
             image_of_set(M1, {9})
+        with pytest.raises(DomainError, match="'zz' is not in the domain"):
+            M1.image("zz")
 
 
 class TestComplement:
@@ -98,6 +102,10 @@ class TestComplement:
     def test_whole_domain_rejected(self):
         with pytest.raises(DomainError):
             complement(M1, {1, 2, 3}, ())
+
+    def test_unknown_value_rejected(self):
+        with pytest.raises(DomainError, match="'zz' is not in the codomain"):
+            complement(M1, (), ("zz",))
 
 
 class TestResidual:

@@ -146,8 +146,10 @@ def test_all_3x3_mappings(steps):
 
 def test_all_4x4_image_tuples():
     # A witness W is the blocks taken before a position left with no value,
-    # so its image is exactly one value short: |N(W)| = |W| - 1.
-    witnesses = 0
+    # so its image is exactly one value short: |N(W)| = |W| - 1.  Otherwise
+    # the selection is unique, as has_unique_selection reads it, exactly
+    # when every residual image holds one value.
+    witnesses = unique = 0
     for bits in product(range(16), repeat=4):
         scan = assert_one_block_agrees(bits)
         if isinstance(scan, int):
@@ -156,7 +158,12 @@ def test_all_4x4_image_tuples():
             for i in bit_indices(scan):
                 image |= bits[i]
             assert image.bit_count() == scan.bit_count() - 1
+        else:
+            single = all(r & (r - 1) == 0 for r in scan[1])
+            assert single == all(k & (k - 1) == 0 for k in kernel_by_definition(bits))
+            unique += single
     assert witnesses == 27713
+    assert unique == 13032
 
 
 @pytest.mark.parametrize("density", [0.1, 0.6])

@@ -4,11 +4,19 @@ import ast
 from pathlib import Path
 
 import hallkernel
+from linecov import ALLOWED, PACKAGE
 
 
 def test_every_exported_name_resolves():
     # A stale ``__all__`` entry breaks only ``from hallkernel import *``.
     assert [name for name in hallkernel.__all__ if not hasattr(hallkernel, name)] == []
+
+
+def test_oracle_names_resolve_from_the_oracle_alone():
+    # The package loads the oracle on first use of one of its exported names.
+    from hallkernel import oracle
+    assert hallkernel.enumerate_selections is oracle.enumerate_selections
+    assert not hasattr(hallkernel, "oracle_hall_scan")
 
 
 def package_nodes():
@@ -72,9 +80,9 @@ def test_oracle_shares_nothing_with_the_scan():
 
 def test_cli_runs_no_oracle_code():
     # Selections come from the kernel's matchings, and the oracle stays the
-    # reference the tests hold them to; ``enumerate`` borrows only its cap.
+    # reference the tests hold them to; ``enumerate``'s cap is in mappings.
     assert [(module, name) for module, name in package_imports("cli.py")
-            if module == "oracle"] == [("oracle", "SELECTION_CAP")]
+            if module == "oracle"] == []
     kernel = ast.parse((Path(hallkernel.__file__).parent / "kernel.py").read_text(
         encoding="utf-8"))
     assert "_least_matching" not in {node.name for node in ast.walk(kernel)
@@ -113,3 +121,10 @@ def test_no_unused_imports():
             used.add((name, node.value))
     assert sorted(imported - used) == [("kernel.py", "compute_hall_partition"),
                                        ("sudoku.py", "alldifferent_kernel")]
+
+
+def test_every_line_linecov_allows_is_still_there():
+    # tests/linecov.py lets the lines of each snippet go unreached; a snippet
+    # that no longer matches, or matches twice, would allow nothing or too much.
+    assert [(file, snippet) for file, snippet, _ in ALLOWED
+            if (PACKAGE / file).read_text(encoding="utf-8").count(snippet) != 1] == []

@@ -253,6 +253,17 @@ class TestPropagate:
             with pytest.raises(GridError, match=re.escape(f"cell {cell} ")):
                 call(grid)
 
+    def test_a_candidate_listed_twice_counts_once(self):
+        text = ("53..7....6..195....98....6.8...6...34..8.3..17...2...6"
+                ".6....28....419..5....8..79")
+        grid, repeated = parse_grid(text), parse_grid(text)
+        assert grid.candidates[(1, 3)] == {1, 2, 4}
+        grid.candidates[(1, 3)] = {4}
+        repeated.candidates[(1, 3)] = [4, 4]
+        assert propagate(repeated) == propagate(grid)
+        solution = solve(repeated)
+        assert is_solved(solution) and solution == solve(grid)
+
     @pytest.mark.parametrize("givens, error, message", [
         ({(1, 1): 5, (1, 4): 5, (2, 2): 12}, Contradiction,
          "cells (1, 1) and (1, 4) both hold 5"),
