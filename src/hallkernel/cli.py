@@ -329,7 +329,3 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

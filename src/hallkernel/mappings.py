@@ -101,7 +101,8 @@ class FiniteMapping:
     order of the ground sets; ``image_bits[i]`` is the image of the i-th
     domain element as a bitset over ``y_labels`` positions.  The domain must
     be nonempty; images may be empty, and the codomain may be empty when all
-    images are (complement mappings can strike every value).
+    images are (complement mappings can strike every value).  A field cannot
+    be assigned or deleted once built, so the hash never changes.
     """
 
     __slots__ = ("x_labels", "y_labels", "image_bits", "_x_index", "_y_index")
@@ -135,11 +136,11 @@ class FiniteMapping:
         if len(images) != len(x_labels):
             extra = next(x for x in images if x not in x_index)
             raise InvalidMappingError(f"{extra!r} has an image but is not in the domain")
-        self.x_labels = x_labels
-        self.y_labels = y_labels
-        self.image_bits = tuple(bits)
-        self._x_index = x_index
-        self._y_index = y_index
+        object.__setattr__(self, "x_labels", x_labels)
+        object.__setattr__(self, "y_labels", y_labels)
+        object.__setattr__(self, "image_bits", tuple(bits))
+        object.__setattr__(self, "_x_index", x_index)
+        object.__setattr__(self, "_y_index", y_index)
 
     @classmethod
     def from_dict(cls, images: Mapping[Label, Iterable[Label]], *,
@@ -234,6 +235,14 @@ class FiniteMapping:
         body = ", ".join(f"{x!r}: {set(self.y_labels_of(b)) or '{}'}"
                          for x, b in zip(self.x_labels, self.image_bits))
         return f"FiniteMapping({{{body}}})"
+
+    __setattr__ = _Record.__setattr__
+    __delattr__ = _Record.__delattr__
+
+    def __reduce__(self):
+        # Default pickling would restore the slots through __setattr__.
+        return self.__class__, (self.x_labels, self.y_labels, {
+            x: self.y_labels_of(b) for x, b in zip(self.x_labels, self.image_bits)})
 
 
 def image_of_set(mapping: FiniteMapping, members: Iterable[Label]) -> frozenset:

@@ -162,9 +162,11 @@ def hall_scan(image_bits):
     of what a tight set leaves, joined with one of the tight set, would be
     complete), so the scan goes on as above and returns its own (size,
     lex)-first witness; a step of more than ``ENUMERATION_CAP`` positions
-    raises :class:`.SizeCapError` instead of walking.  If the matching covers
-    every position, all later blocks are read off it, and they are the scan's
-    blocks in the scan's order.
+    raises :class:`.SizeCapError` instead of walking.  Each later step over
+    more than :data:`MATCHING_CUTOFF` positions tries the matching again and
+    fails again, at polynomial cost, so the scan need not remember the
+    failure.  If the matching covers every position, all later blocks are
+    read off it, and they are the scan's blocks in the scan's order.
     The matching puts |S| values of N'(S) on S, so S is tight exactly when
     every value of N'(S) is matched into S: S reaches no unmatched value and is
     closed under successors (p -> q when N'(p) holds the value matched to q).
@@ -188,7 +190,6 @@ def hall_scan(image_bits):
     is its members' images less them.
     """
     n = len(image_bits)
-    matching = True
     indices = list(range(n))
     images = list(image_bits)
     taken = struck = 0
@@ -211,11 +212,9 @@ def hall_scan(image_bits):
         else:
             res = [b & keep for b in images] if struck else images
             if len(res) > MATCHING_CUTOFF:
-                if matching:
-                    rest = _matching_completion(indices, res)
-                    if rest is not None:
-                        return tuple(block_bits + rest[0]), tuple(residual_bits + rest[1])
-                    matching = False
+                rest = _matching_completion(indices, res)
+                if rest is not None:
+                    return tuple(block_bits + rest[0]), tuple(residual_bits + rest[1])
                 check_size_cap("partition scan", len(res), ENUMERATION_CAP)
             combo, img = _first_fit_counted(res)
             if combo is None:  # the whole rest: the last block

@@ -14,12 +14,13 @@ digit and a 9-bit candidate mask (bit ``d`` for digit ``d``) per slot in two
 exist only at the public boundary.  Markups are read off the 27 units' masks
 of given digits, and so are a hand-built grid's givens struck.  Propagation
 keeps the units still to visit as a 27-bit mask and walks only those, in
-sweep order (rows, columns, blocks); a visit whose kernel is the unit's masks
-themselves (one block of two or more cells) changes nothing and ends at the
-kernel memo, marked there so that a repeat ends at the lookup.  :func:`solve`
-memoises unit kernels by their tuple of masks for one call, up to
-``KERNEL_MEMO_CAP`` entries; a search branch promotes its digit itself and
-re-propagates from the units that promotion changed.
+sweep order (rows, columns, blocks).  A unit whose kernel is its tuple of
+masks itself (one block of two or more cells) changes nothing; :func:`solve`
+and :func:`propagate` mark such tuples for one call, up to ``KERNEL_MEMO_CAP``
+of them, so that a repeat visit ends at the lookup.  No kernel is cached:
+every elimination and every contradiction comes from the visit that applies
+it.  A search branch promotes its digit itself and re-propagates from the
+units that promotion changed.
 """
 
 from __future__ import annotations
@@ -35,15 +36,13 @@ Cell = tuple[int, int]
 DIGITS = frozenset(range(1, 10))
 _DIGIT_BITS = 0x3FE  # bits 1..9, one per digit
 
-#: The most unit kernels one :func:`solve` call keeps memoised.  The memo is
-#: emptied when it reaches this size, which bounds it at a few MB: an entry,
-#: a key tuple and a kernel list of up to nine masks each, takes about 400
-#: bytes; an entry marked ``_UNCHANGED`` holds only its key.
+#: The most unchanged-unit keys one :func:`solve` or :func:`propagate` call
+#: keeps marked.  The memo is emptied when it reaches this size, which bounds
+#: it under 6 MB.  An entry is one key tuple of at most nine masks: 112 bytes
+#: at nine by ``sys.getsizeof``, plus 28 for each mask no other object holds
+#: and its slot in the set, about 360 bytes in all (``tracemalloc`` over
+#: 16,384 keys of nine distinct masks).
 KERNEL_MEMO_CAP = 1 << 14
-
-#: The memo's mark for a key of two or more masks whose kernel is the key
-#: itself (one block): a visit that finds it changes nothing and ends there.
-_UNCHANGED = object()
 
 
 class GridError(ValueError):
@@ -216,8 +215,9 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
     cell whose candidates collapse to one digit is promoted to a given at
     once, striking the digit from its neighbors' candidates.  Units are
     revisited only while something they see has changed, which leaves the
-    fixpoint untouched because kernel filtering is idempotent, and a visit
-    whose kernel changes nothing (one block) ends at a memo lookup.  Raises
+    fixpoint untouched because kernel filtering is idempotent.  The tuples of
+    masks whose kernel changes nothing (one block) are marked for the call,
+    so that a repeat visit ends at a lookup; no kernel is cached.  Raises
     :class:`Contradiction` when a unit admits no alldifferent assignment or a
     candidate set runs empty; the input grid is never mutated.  ``max_sweeps``
     caps the sweeps: ``None`` or an ``int`` of at least 0, else
@@ -226,7 +226,7 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
     if max_sweeps is not None and not (type(max_sweeps) is int and max_sweeps >= 0):
         raise ValueError(f"max_sweeps must be None or an int >= 0, not {max_sweeps!r}")
     givens, masks = _slots(grid)
-    _propagate_masks(givens, masks, {}, max_sweeps)
+    _propagate_masks(givens, masks, set(), max_sweeps)
     return _grid(givens, masks)
 
 
@@ -281,18 +281,19 @@ def _grid(givens: list, masks) -> SudokuGrid:
         {ALL_CELLS[i]: set(bit_indices(m)) for i, m in enumerate(masks) if m})
 
 
-def _propagate_masks(givens: list, masks: list, memo: dict,
+def _propagate_masks(givens: list, masks: list, memo: set,
                      max_sweeps: int | None = None, dirty: int = _ALL_UNIT_BITS) -> None:
-    # propagate() on slots, in place.  ``memo`` maps a unit's tuple of open
-    # cell masks to its kernel_bits result; the kernel depends on nothing
-    # else, so one memo serves every unit and every branch of one search.
-    # Bit u of ``dirty`` marks unit u for a visit; a unit left out must
-    # already be at the fixpoint (visited since it last changed).  A sweep
-    # visits the dirty units in unit order: each next the lowest dirty bit
-    # above the unit just visited, so a unit marked behind it waits for the
-    # next sweep.  A key of two or more masks that is one block has no
+    # propagate() on slots, in place.  ``memo`` holds the tuples of open cell
+    # masks whose kernel_bits result is the tuple itself; the kernel depends
+    # on nothing else, so one memo serves every unit and every branch of one
+    # search.  Bit u of ``dirty`` marks unit u for a visit; a unit left out
+    # must already be at the fixpoint (visited since it last changed).  A
+    # sweep visits the dirty units in unit order: each next the lowest dirty
+    # bit above the unit just visited, so a unit marked behind it waits for
+    # the next sweep.  A key of two or more masks that is one block has no
     # single (that cell would be a critical set of size 1, a block of its
-    # own) and keeps every candidate, so its visit ends at the memo.
+    # own) and keeps every candidate, so its visit ends there, and once it
+    # is marked a repeat ends at the lookup.
     sweeps = 0
     while dirty and (max_sweeps is None or sweeps < max_sweeps):
         sweeps += 1
@@ -303,17 +304,13 @@ def _propagate_masks(givens: list, masks: list, memo: dict,
             dirty ^= bit
             u = bit.bit_length() - 1
             key = tuple([m for i in _UNIT_SLOTS[u] if (m := masks[i])])
-            if not key:
+            if not key or key in memo:
                 continue
-            kernel = memo.get(key)
-            if kernel is None:
+            kernel = kernel_bits(key)
+            if kernel is key and len(key) > 1:
                 if len(memo) >= KERNEL_MEMO_CAP:
                     memo.clear()
-                kernel = kernel_bits(key)
-                if kernel is key and len(key) > 1:
-                    kernel = _UNCHANGED
-                memo[key] = kernel
-            if kernel is _UNCHANGED:
+                memo.add(key)
                 continue
             open_slots = [i for i in _UNIT_SLOTS[u] if masks[i]]
             if isinstance(kernel, int):
@@ -370,19 +367,20 @@ def solve(grid: SudokuGrid) -> SudokuGrid | None:
     Branches on a cell with the fewest candidates (row-major on ties), trying
     digits in ascending order; each tentative digit is promoted at once, as
     propagation would, and propagated from the units it changed.  The search
-    runs on cell slots and builds the solution grid once, at the end.  Unit
-    kernels are memoised for the duration of one call, at most
-    ``KERNEL_MEMO_CAP`` of them at a time.  A hand-built grid that is not a
+    runs on cell slots and builds the solution grid once, at the end.  The
+    tuples of masks whose kernel changes nothing are marked for the duration
+    of one call, at most ``KERNEL_MEMO_CAP`` of them at a time, and every
+    other kernel is computed at its visit.  A hand-built grid that is not a
     grid of digits 1..9 raises :class:`GridError`, as in :func:`propagate`.
     """
     try:
-        givens = _solve_masks(*_slots(grid), {})
+        givens = _solve_masks(*_slots(grid), set())
     except Contradiction:  # from _slots: clashing givens or a cell left empty
         return None
     return None if givens is None else _grid(givens, ())
 
 
-def _solve_masks(givens: list, masks: list, memo: dict,
+def _solve_masks(givens: list, masks: list, memo: set,
                  dirty: int = _ALL_UNIT_BITS) -> list | None:
     # solve() on slots: the completed givens, or None.  Each branch works on
     # its own copies, since _propagate_masks and _promote work in place.  The

@@ -31,9 +31,6 @@ ALLOWED = (
      "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n"
      "        return 141\n",
      "a reader that closes the pipe mid-output: test_closed_pipe_exits_141_quietly"),
-    ("cli.py",
-     "    sys.exit(main())\n",
-     "runs only when cli.py is the main module"),
     ("__main__.py",
      "from .cli import main\n\nif __name__ == \"__main__\":\n    raise SystemExit(main())\n",
      "runs only as ``python -m hallkernel``, in the CLI's subprocess tests"),

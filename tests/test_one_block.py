@@ -209,16 +209,24 @@ def sudoku_unit_keys():
 
 
 #: sha256 of ``repr(sudoku_unit_keys())``: it pins the visit order and the
-#: units a search branch re-propagates from.
-UNIT_KEYS_SHA256 = "c5b913cb8f9c00e6cebaa1c7b5ba739f2e33c0786f6b79e0044a00a0b7f3c19f"
+#: units a search branch re-propagates from, with every kernel but an
+#: unchanged unit's computed at its visit.
+UNIT_KEYS_SHA256 = "242d2054827ebbe2393da409d6116f16136b4ed10f6499d6f27ecc783c2595cd"
+
+#: sha256 of ``repr`` of the distinct keys of ``sudoku_unit_keys()`` in
+#: first-visit order, which no memo moves: the visit order alone.
+DISTINCT_UNIT_KEYS_SHA256 = "18b5ba69b2fc6a2e2ed5f782d9b52aedbb1e86ff078c195e33ed80e78ab2bafb"
 
 
 def test_sudoku_unit_keys(steps):
     keys = sudoku_unit_keys()
-    assert len(keys) == 1571
+    assert len(keys) == 1585
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == UNIT_KEYS_SHA256
+    distinct = list(dict.fromkeys(keys))
+    assert len(distinct) == 1525
+    assert hashlib.sha256(repr(distinct).encode()).hexdigest() == DISTINCT_UNIT_KEYS_SHA256
     shapes = Counter()
-    for key in dict.fromkeys(keys):
+    for key in distinct:
         scan = assert_one_block_agrees(key)
         shapes["witness" if isinstance(scan, int) else len(scan[0]) == 1] += 1
     assert shapes == {True: 1207, False: 314, "witness": 4}

@@ -61,6 +61,22 @@ def test_frozen_records_hash_by_value_and_refuse_changes(make, text):
     assert repr(record) == text
 
 
+def test_finite_mapping_refuses_changes_and_copies_by_value():
+    # A codomain value no image holds and an empty image survive the copies.
+    mapping = FiniteMapping.from_dict({1: {1, 2}, 2: set()}, y_order=(1, 2, 3))
+    for name in FiniteMapping.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(mapping, name, getattr(mapping, name))
+        with pytest.raises(AttributeError):
+            delattr(mapping, name)
+    assert mapping.image_bits == (0b11, 0) and mapping in {mapping}
+    for clone in (copy.copy(mapping), copy.deepcopy(mapping),
+                  pickle.loads(pickle.dumps(mapping))):
+        assert type(clone) is FiniteMapping and clone == mapping
+        assert hash(clone) == hash(mapping) and repr(clone) == repr(mapping)
+        assert clone.y_labels == (1, 2, 3) and clone.image(2) == frozenset()
+
+
 def test_records_of_different_classes_never_compare_equal():
     assert Selection((1,), ("a",)).__eq__(HallViolation(frozenset({1}))) is NotImplemented
     assert Selection((1,), ("a",)) != HallViolation(frozenset({1}))

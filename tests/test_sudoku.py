@@ -32,6 +32,12 @@ from hallkernel.sudoku import (
 from conftest import INKALA, blanked, canonical_grid_text
 
 
+EASTER_MONSTER = ("1.......2.9.4...5...6...7...5.9.3.......7.......85..4.7....."
+                  "6...3...9.8...2.....1")
+AI_ESCARGOT = ("1....7.9..3..2...8..96..5....53..9...1..8...26....4...3......"
+               "1..4......7..7...3..")
+
+
 def put(chars, r, c, digit):
     chars[(r - 1) * 9 + (c - 1)] = str(digit)
 
@@ -427,6 +433,17 @@ class TestSolve:
         assert is_solved(solution)
         assert all(solution.givens[c] == d for c, d in grid.givens.items())
 
+    @pytest.mark.parametrize("text", [EASTER_MONSTER, AI_ESCARGOT],
+                             ids=["easter-monster", "ai-escargot"])
+    def test_search_heavy_grids(self, text, monkeypatch):
+        # Deep backtracking, through marks made on branches that failed.
+        grid = parse_grid(text)
+        solution = solve(grid)
+        assert solution is not None and is_solved(solution)
+        assert all(solution.givens[c] == d for c, d in grid.givens.items())
+        monkeypatch.setattr(sudoku, "KERNEL_MEMO_CAP", 1)
+        assert solve(grid) == solution
+
     def test_no_kernel_memo_outlives_a_solve(self, monkeypatch):
         calls = []
         kernel_bits = sudoku.kernel_bits
@@ -438,7 +455,7 @@ class TestSolve:
             calls.clear()
             solve(grid)
             counts.append(len(calls))
-        assert counts[0] == counts[1] == 737
+        assert counts[0] == counts[1] == 745
         # A memo holding one entry at a time still has to recompute repeats.
         monkeypatch.setattr(sudoku, "KERNEL_MEMO_CAP", 1)
         calls.clear()
@@ -448,7 +465,7 @@ class TestSolve:
     def test_kernel_memo_stays_within_its_cap(self, monkeypatch):
         monkeypatch.setattr(sudoku, "KERNEL_MEMO_CAP", 8)
         grid = parse_grid(INKALA)
-        memo = {}
+        memo = set()
         givens = sudoku._solve_masks(*sudoku._slots(grid), memo)
         assert sudoku._grid(givens, ()) == solve(grid)
         assert 0 < len(memo) <= 8
@@ -460,7 +477,7 @@ class TestBranchPropagation:
     @staticmethod
     def _propagated(givens, masks, dirty):
         try:
-            sudoku._propagate_masks(givens, masks, {}, dirty=dirty)
+            sudoku._propagate_masks(givens, masks, set(), dirty=dirty)
         except Contradiction as exc:
             return str(exc)
         return givens, masks
@@ -502,7 +519,7 @@ class TestBranchPropagation:
         for t in texts:
             try:
                 givens, masks = sudoku._slots(parse_grid(t))
-                sudoku._propagate_masks(givens, masks, {})
+                sudoku._propagate_masks(givens, masks, set())
             except (GridError, Contradiction):
                 continue
             self._branches(givens, masks, outcomes, sum(outcomes.values()) + 150)
@@ -566,7 +583,7 @@ class TestBranchChoice:
         givens, masks = sudoku._slots(parse_grid("." * 81))
         masks[40] = 1 << 3
         with pytest.raises(RuntimeError, match="slot 40 has one candidate"):
-            sudoku._solve_masks(givens, masks, {})
+            sudoku._solve_masks(givens, masks, set())
 
 
 class TestRendering:
@@ -665,9 +682,9 @@ def _kernel_keys_and_records(monkeypatch, copy):
 
 
 #: sha256 of ``repr`` of the keys propagate hands kernel_bits over the
-#: transcript corpus, at max_sweeps None, 1 and 2; recorded before a visit
-#: could end at the memo.
-PROPAGATE_KEYS_SHA256 = "d8948e25bcff0308355c314f0f487fef5849a85f0ab0baa7affb7daa2ecc94ba"
+#: transcript corpus, at max_sweeps None, 1 and 2; a key the memo marked
+#: unchanged is not handed over again within one call, every other key is.
+PROPAGATE_KEYS_SHA256 = "8484b878bc9446455649ea45627798ed7f49d259e86f1967805d55dbdbd9f4c5"
 
 
 class TestVisitEndsAtTheMemo:
@@ -675,15 +692,20 @@ class TestVisitEndsAtTheMemo:
 
     def test_propagate_keys_are_pinned(self, monkeypatch):
         _, keys, _ = _kernel_keys_and_records(monkeypatch, copy=False)
-        assert len(keys) == 4045
+        assert len(keys) == 4051
         assert hashlib.sha256(repr(keys).encode()).hexdigest() == PROPAGATE_KEYS_SHA256
 
     def test_copied_kernels_change_nothing(self, monkeypatch):
-        # With every kernel a copy, no visit ends at the memo: each walks its
-        # cells.  The grids, the solutions and the keys stay the same.
+        # With every kernel a copy, no key is marked and no visit ends at the
+        # memo: each walks its cells, and a repeat is computed again.  The
+        # grids, the solutions and the distinct keys in first-visit order stay
+        # the same.
         kernel_bits = sudoku.kernel_bits
         kept = _kernel_keys_and_records(monkeypatch, copy=False)
         copied = _kernel_keys_and_records(monkeypatch, copy=True)
-        assert kept == copied
+        assert kept[0] == copied[0]
+        for phase in (1, 2):
+            assert list(dict.fromkeys(kept[phase])) == list(dict.fromkeys(copied[phase]))
+            assert len(copied[phase]) >= len(kept[phase])
         one_block = [key for key in kept[2] if len(key) > 1 and kernel_bits(key) is key]
         assert len(one_block) > 0.5 * len(kept[2])
