@@ -94,7 +94,7 @@ class _Record:
         return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
 
 
-class FiniteMapping:
+class FiniteMapping(_Record):
     """A set-valued mapping from a finite domain X into subsets of Y.
 
     ``x_labels`` and ``y_labels`` fix the (stable, deterministic) enumeration
@@ -221,26 +221,16 @@ class FiniteMapping:
 
     # -- value semantics ---------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteMapping):
-            return NotImplemented
-        return (self.x_labels == other.x_labels
-                and self.y_labels == other.y_labels
-                and self.image_bits == other.image_bits)
-
-    def __hash__(self) -> int:
-        return hash((self.x_labels, self.y_labels, self.image_bits))
+    def _key(self) -> tuple:
+        return self.x_labels, self.y_labels, self.image_bits
 
     def __repr__(self) -> str:
         body = ", ".join(f"{x!r}: {set(self.y_labels_of(b)) or '{}'}"
                          for x, b in zip(self.x_labels, self.image_bits))
         return f"FiniteMapping({{{body}}})"
 
-    __setattr__ = _Record.__setattr__
-    __delattr__ = _Record.__delattr__
-
     def __reduce__(self):
-        # Default pickling would restore the slots through __setattr__.
+        # _Record's would pass all five slots; the constructor takes images.
         return self.__class__, (self.x_labels, self.y_labels, {
             x: self.y_labels_of(b) for x, b in zip(self.x_labels, self.image_bits)})
 

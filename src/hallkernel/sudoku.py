@@ -11,8 +11,10 @@ single digit; :func:`solve` adds depth-first search on top.  Inside, cells
 are slots 0..80 in row-major order: markup, propagation and search keep a
 digit and a 9-bit candidate mask (bit ``d`` for digit ``d``) per slot in two
 81-int lists, 0 meaning none, and ``(row, column)`` labels and sets of digits
-exist only at the public boundary.  Markups are read off the 27 units' masks
-of given digits, and so are a hand-built grid's givens struck.  Propagation
+exist only at the public boundary.  Every grid enters through one
+conversion: a cell listed nowhere is open with all nine digits, and the
+givens are struck from every open cell through the 27 units' masks of given
+digits, so a markup is what an unlisted cell comes out as.  Propagation
 keeps the units still to visit as a 27-bit mask and walks only those, in
 sweep order (rows, columns, blocks).  A unit whose kernel is its tuple of
 masks itself (one block of two or more cells) changes nothing; :func:`solve`
@@ -112,8 +114,10 @@ _ALL_UNIT_BITS = (1 << len(ALL_UNITS)) - 1
 
 
 class SudokuGrid(_Record):
-    """Givens plus the candidate digits of every unpopulated cell.
+    """Givens plus the candidate digits of unpopulated cells.
 
+    A cell that is neither a given nor a key of ``candidates`` is unpopulated
+    with all nine digits, so a grid of givens alone stands for its markups.
     :func:`propagate` and :func:`solve` never mutate a grid they are given;
     they return a new one.  Two grids compare equal when both the givens and
     the candidates agree.  A grid is mutable, so it is not hashable.
@@ -146,10 +150,11 @@ def parse_grid(text: str) -> SudokuGrid:
     """Read a grid from 81 significant characters; ``.`` and ``0`` are blanks.
 
     Layout is ignored (see :func:`grid_cells`), so one-line and 9x9 layouts
-    parse, and so does the output of :func:`render`.  A wrong length, a stray
-    character or a duplicated given within a unit raises :class:`GridError`
-    naming the offending cell; markups are computed before returning, so an
-    immediately contradictory grid raises :class:`Contradiction`.
+    parse, and so does the output of :func:`render`.  Each blank gets its
+    markup, as in :func:`compute_markups`.  A wrong length, a stray character
+    or a duplicated given within a unit (the first in unit order) raises
+    :class:`GridError` naming the offending cell; else a blank left with no
+    digit raises :class:`Contradiction` naming the first in slot order.
     """
     chars = grid_cells(text)
     if len(chars) != 81:
@@ -157,48 +162,31 @@ def parse_grid(text: str) -> SudokuGrid:
     for i, ch in enumerate(chars):
         if ch not in ".0123456789":
             raise GridError(f"bad character {ch!r} at cell {ALL_CELLS[i]}")
-    givens = [0 if ch == "." else int(ch) for ch in chars]
-    return _grid(givens, _markups(givens))
+    givens = {ALL_CELLS[i]: int(ch) for i, ch in enumerate(chars) if ch not in ".0"}
+    try:
+        return _grid(*_slots(SudokuGrid(givens)))
+    except Contradiction:  # every repeated given lands here, as a clash
+        for unit in ALL_UNITS:
+            digits = [givens.get(cell) for cell in unit.cells]
+            for k, digit in enumerate(digits):
+                if digit and digit in digits[:k]:
+                    raise GridError(f"duplicate given {digit} in {unit} "
+                                    f"at cell {unit.cells[k]}") from None
+        raise
 
 
 def compute_markups(grid: SudokuGrid) -> SudokuGrid:
-    """Rebuild every unpopulated cell's candidates from the givens alone."""
-    givens, _ = _slots(SudokuGrid(grid.givens))
-    return _grid(givens, _markups(givens))
-
-
-def _markups(givens: list) -> list[int]:
-    # Each open slot's mask of the digits given in none of its three units,
-    # read off the units' masks of given digits (bit 0 marks an open slot).
-    # A digit given twice in one unit is a GridError.
-    used = []
-    for unit, slots in zip(ALL_UNITS, _UNIT_SLOTS):
-        seen = 0
-        for i in slots:
-            bit = 1 << givens[i]
-            if seen & bit & _DIGIT_BITS:
-                raise GridError(
-                    f"duplicate given {givens[i]} in {unit} at cell {ALL_CELLS[i]}")
-            seen |= bit
-        used.append(seen)
-    masks = [0] * 81
-    for i, digit in enumerate(givens):
-        if digit:
-            continue
-        row, column, block = _SLOT_UNITS[i]
-        mask = _DIGIT_BITS & ~(used[row] | used[column] | used[block])
-        if not mask:
-            raise Contradiction(f"cell {ALL_CELLS[i]} has no admissible digit",
-                                cells=(ALL_CELLS[i],))
-        masks[i] = mask
-    return masks
+    """The grid's givens, each other cell with the digits given in none of its units."""
+    return _grid(*_slots(SudokuGrid(grid.givens)))
 
 
 def unit_mapping(grid: SudokuGrid, unit: Unit) -> FiniteMapping:
-    """The unit's unpopulated cells mapped to their candidate digits.
+    """The unit's listed cells mapped to their candidate digits.
 
-    Public as the paper's view of one unit, for callers and demos; the solver
-    runs on bitsets and never builds it.
+    It reads ``grid.candidates`` as they are, so it wants a marked-up grid:
+    call :func:`compute_markups` on a grid of givens alone first.  Public as
+    the paper's view of one unit, for callers and demos; the solver runs on
+    bitsets and never builds it.
     """
     xs = [c for c in unit.cells if c in grid.candidates]
     if not xs:
@@ -231,19 +219,20 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
 
 
 def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
-    # The grid's givens and candidate masks as 81-slot lists, each given's
-    # digit struck from its neighbours' masks through the 27 units' masks of
-    # given digits; a digit listed twice among a cell's candidates counts
-    # once.  A cell off the grid, a digit outside 1..9 or a cell with
-    # both a given and candidates is a GridError; two neighbouring givens with
-    # one digit, or an open cell left with no candidate, contradict.  Each
-    # given is checked for its digit, then for candidates, then for a clash,
-    # before the next; a clash names the first neighbour in slot order.
+    # Every grid's one way into the engine: its givens and candidate masks as
+    # 81-slot lists.  A cell listed nowhere is open with all nine digits, and
+    # the givens are struck from the open slots, in slot order, through the
+    # units' masks of given digits.  A cell off the grid, a digit outside
+    # 1..9 or a cell with both a given and candidates is a GridError; two
+    # neighbouring givens with one digit, or an open cell left with no
+    # digit, contradict.  Each given is checked for its digit, then for
+    # candidates, then for a clash, before the next, and all before any
+    # strike; a clash names the first neighbour in slot order.
     for cell in (*grid.candidates, *grid.givens):
         if cell not in _SLOT_OF:
             raise GridError(f"cell {cell!r} is not on the grid")
     givens = [0] * 81
-    masks = [0] * 81
+    masks = [_DIGIT_BITS] * 81
     for cell, digits in grid.candidates.items():
         if not DIGITS.issuperset(digits):
             raise GridError(f"cell {cell} has candidates outside 1..9: {digits!r}")
@@ -262,15 +251,17 @@ def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
             raise Contradiction(f"cells {ALL_CELLS[j]} and {cell} both hold {digit}",
                                 cells=(ALL_CELLS[j], cell))
         givens[i] = digit
+        masks[i] = 0
         used[row] |= bit
         used[column] |= bit
         used[block] |= bit
-    for cell in grid.candidates:
-        i = _SLOT_OF[cell]
-        row, column, block = _SLOT_UNITS[i]
-        masks[i] &= ~(used[row] | used[column] | used[block])
-        if not masks[i]:
-            raise Contradiction(f"cell {cell} has no admissible digit", cells=(cell,))
+    for i, digit in enumerate(givens):
+        if not digit:
+            row, column, block = _SLOT_UNITS[i]
+            masks[i] &= ~(used[row] | used[column] | used[block])
+            if not masks[i]:
+                raise Contradiction(f"cell {ALL_CELLS[i]} has no admissible digit",
+                                    cells=(ALL_CELLS[i],))
     return givens, masks
 
 

@@ -327,6 +327,15 @@ class TestSudokuCommands:
         assert code == 2
         assert "error:" in err
 
+    def test_duplicate_given_exit_code(self, capsys, monkeypatch):
+        chars = ["."] * 81
+        for i, digit in [(0, 5), (36, 5), (37, 7), (43, 7)]:
+            chars[i] = str(digit)
+        code, out, err = run(capsys, ["sudoku", "solve"], stdin="".join(chars),
+                             monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == "error: duplicate given 7 in row 5 at cell (5, 8)\n"
+
     def test_whitespace_only_input_has_no_grid(self, capsys, monkeypatch):
         code, out, err = run(capsys, ["sudoku", "solve"], stdin=" \n\t\n",
                              monkeypatch=monkeypatch)

@@ -96,6 +96,34 @@ class TestSlots:
         grid = parse_grid(naked_pair_text())
         assert sudoku._grid(*sudoku._slots(grid)) == grid
 
+    def test_cells_listed_nowhere_get_their_markup(self):
+        # A cell neither given nor in ``candidates`` is open with all nine
+        # digits less its neighbours' givens, never dropped.
+        assert is_solved(solve(SudokuGrid()))
+        one_given = SudokuGrid({(1, 1): 5})
+        marked = propagate(one_given)
+        assert len(marked.candidates) == 80
+        assert marked == compute_markups(one_given)
+        grid = parse_grid(INKALA)
+        del grid.candidates[(1, 2)]
+        assert is_solved(solve(grid))
+
+    def test_an_unlisted_cell_with_no_digit_left_contradicts(self):
+        # Row 1 holds 1..8 and column 9 holds the 9, so (1, 9) has no digit.
+        grid = SudokuGrid({**{(1, c): c for c in range(1, 9)}, (5, 9): 9})
+        with pytest.raises(Contradiction) as info:
+            propagate(grid)
+        assert str(info.value) == "cell (1, 9) has no admissible digit"
+        assert info.value.cells == {(1, 9)}
+        assert solve(grid) is None
+
+    def test_dead_cells_are_named_in_slot_order(self):
+        # Both listed cells lose their one digit; the first slot is named,
+        # whatever the order of ``candidates``.
+        grid = SudokuGrid({(1, 2): 1, (9, 8): 2}, {(9, 9): {2}, (1, 1): {1}})
+        with pytest.raises(Contradiction, match=r"^cell \(1, 1\) has no admissible digit$"):
+            sudoku._slots(grid)
+
 
 class TestParseGrid:
     def test_all_blank(self):
@@ -141,6 +169,16 @@ class TestParseGrid:
         put(chars, 1, 7, 5)
         with pytest.raises(GridError, match="row 1"):
             parse_grid("".join(chars))
+
+    def test_duplicate_is_named_in_unit_order_after_an_earlier_clash(self):
+        # In slot order the column-1 clash of the 5s comes first; in unit
+        # order row 5's two 7s do.
+        chars = ["."] * 81
+        for r, c, digit in [(1, 1, 5), (5, 1, 5), (5, 2, 7), (5, 8, 7)]:
+            put(chars, r, c, digit)
+        with pytest.raises(GridError) as info:
+            parse_grid("".join(chars))
+        assert str(info.value) == "duplicate given 7 in row 5 at cell (5, 8)"
 
 
 class TestComputeMarkups:
