@@ -121,8 +121,8 @@ def serialize_mapping_document(mapping: FiniteMapping) -> str:
             seen[token] = label
     lines = ["X: " + " ".join(str(x) for x in mapping.x_labels),
              "Y: " + " ".join(str(y) for y in mapping.y_labels)]
-    for x in mapping.x_labels:
-        ys = " ".join(_y_names(mapping, mapping.image(x)))
+    for x, image in mapping.images_by_label().items():
+        ys = " ".join(_names(mapping.y_labels, image))
         lines.append(f"{x} : {ys}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -130,12 +130,8 @@ def serialize_mapping_document(mapping: FiniteMapping) -> str:
 # -- formatting helpers ----------------------------------------------------
 
 
-def _x_names(mapping: FiniteMapping, members) -> list[str]:
-    return [str(x) for x in mapping.x_labels if x in members]
-
-
-def _y_names(mapping: FiniteMapping, members) -> list[str]:
-    return [str(y) for y in mapping.y_labels if y in members]
+def _names(labels: tuple, members) -> list[str]:
+    return [str(label) for label in labels if label in members]
 
 
 def _set_text(labels) -> str:
@@ -143,7 +139,7 @@ def _set_text(labels) -> str:
 
 
 def _violation(mapping: FiniteMapping, violation: HallViolation, payload: dict):
-    witness = _x_names(mapping, violation.witness)
+    witness = _names(mapping.x_labels, violation.witness)
     return 1, {**payload, "witness": witness}, [f"violation: {_set_text(witness)}"]
 
 
@@ -170,8 +166,8 @@ def _cmd_partition(mapping: FiniteMapping):
     result = compute_hall_partition(mapping)
     if isinstance(result, HallViolation):
         return _violation(mapping, result, {})
-    blocks = [_x_names(mapping, b) for b in result.blocks]
-    residuals = [_y_names(mapping, r) for r in result.residual_images]
+    blocks = [_names(mapping.x_labels, b) for b in result.blocks]
+    residuals = [_names(mapping.y_labels, r) for r in result.residual_images]
     lines = [f"block {i}: {_set_text(b)} -> {_set_text(r)}"
              for i, (b, r) in enumerate(zip(blocks, residuals), start=1)]
     lines.append(f"exit: {result.exit_kind.value}")
@@ -181,11 +177,11 @@ def _cmd_partition(mapping: FiniteMapping):
 
 def _cmd_kernel(mapping: FiniteMapping):
     kern = alldifferent_kernel(mapping)
-    images = [_y_names(mapping, img) for img in kern.images]
+    images = [_names(mapping.y_labels, img) for img in kern.images]
     lines = [f"{x}: {' '.join(ys)}".rstrip() for x, ys in zip(mapping.x_labels, images)]
     witness = None
     if kern.witness is not None:
-        witness = _x_names(mapping, kern.witness.witness)
+        witness = _names(mapping.x_labels, kern.witness.witness)
         lines.append(f"witness: {_set_text(witness)}")
     payload = {"kernel": {str(x): ys for x, ys in zip(mapping.x_labels, images)},
                "empty": kern.is_empty, "witness": witness}

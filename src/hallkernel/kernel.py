@@ -17,7 +17,7 @@ is refused here: only a violation's witness can need the scan's capped walk.
 
 from __future__ import annotations
 
-from .mappings import DomainError, FiniteMapping, Label, complement, _Record
+from .mappings import DomainError, FiniteMapping, Label, complement, _position, _Record
 from .partition import (
     HallPartition,
     HallViolation,
@@ -43,9 +43,7 @@ class Selection(_Record):
         object.__setattr__(self, "values", values)
 
     def __getitem__(self, x: Label):
-        if x not in self.x_labels:
-            raise DomainError(f"{x!r} is not in the domain")
-        return self.values[self.x_labels.index(x)]
+        return self.values[_position(self.x_labels, x, "domain")]
 
     def items(self):
         return tuple(list(zip(self.x_labels, self.values)))
@@ -78,10 +76,7 @@ class KernelMapping(_Record):
         return all(not img for img in self.images)
 
     def image(self, x: Label) -> frozenset:
-        i = self.base._x_index.get(x)
-        if i is None:
-            raise DomainError(f"{x!r} is not in the domain")
-        return self.images[i]
+        return self.images[_position(self.base.x_labels, x, "domain")]
 
     def images_by_label(self) -> dict:
         return dict(zip(self.base.x_labels, self.images))

@@ -102,10 +102,12 @@ class FiniteMapping(_Record):
     domain element as a bitset over ``y_labels`` positions.  The domain must
     be nonempty; images may be empty, and the codomain may be empty when all
     images are (complement mappings can strike every value).  A field cannot
-    be assigned or deleted once built, so the hash never changes.
+    be assigned or deleted once built, so the hash never changes.  Those
+    three fields are all it holds, so a label lookup scans a label tuple;
+    :meth:`images_by_label` reads every image in one pass.
     """
 
-    __slots__ = ("x_labels", "y_labels", "image_bits", "_x_index", "_y_index")
+    __slots__ = ("x_labels", "y_labels", "image_bits")
 
     def __init__(self, x_elements: Iterable[Label], y_elements: Iterable[Label],
                  images: Mapping[Label, Iterable[Label]]):
@@ -113,8 +115,7 @@ class FiniteMapping(_Record):
         y_labels = tuple(y_elements)
         if not x_labels:
             raise InvalidMappingError("domain must be nonempty")
-        x_index = {x: i for i, x in enumerate(x_labels)}
-        if len(x_index) != len(x_labels):
+        if len(set(x_labels)) != len(x_labels):
             raise InvalidMappingError("domain labels must be distinct")
         y_index = {y: j for j, y in enumerate(y_labels)}
         if len(y_index) != len(y_labels):
@@ -134,13 +135,11 @@ class FiniteMapping(_Record):
                 b |= 1 << j
             bits.append(b)
         if len(images) != len(x_labels):
-            extra = next(x for x in images if x not in x_index)
+            extra = next(x for x in images if x not in x_labels)
             raise InvalidMappingError(f"{extra!r} has an image but is not in the domain")
         object.__setattr__(self, "x_labels", x_labels)
         object.__setattr__(self, "y_labels", y_labels)
         object.__setattr__(self, "image_bits", tuple(bits))
-        object.__setattr__(self, "_x_index", x_index)
-        object.__setattr__(self, "_y_index", y_index)
 
     @classmethod
     def from_dict(cls, images: Mapping[Label, Iterable[Label]], *,
@@ -149,9 +148,10 @@ class FiniteMapping(_Record):
 
         The domain order is the insertion order of ``images``.  The codomain
         is ``y_order`` when given; otherwise it is inferred as the union of
-        the images, sorted when the labels are sortable (set-typed images
-        have no usable insertion order) and in first-appearance order
-        otherwise.
+        the images, sorted when the labels are sortable and in
+        first-appearance order otherwise, where a ``set`` or ``frozenset``
+        image, whose own order follows the hash seed, gives its members in
+        ``(type(y).__qualname__, repr(y))`` order.
         """
         materialized = {x: tuple(members) for x, members in images.items()}
         x_labels = tuple(materialized)
@@ -165,6 +165,13 @@ class FiniteMapping(_Record):
             try:
                 y_labels = tuple(sorted(seen))
             except TypeError:
+                seen.clear()
+                for x, members in images.items():
+                    ordered = materialized[x]
+                    if isinstance(members, (set, frozenset)):
+                        ordered = sorted(
+                            ordered, key=lambda y: (type(y).__qualname__, repr(y)))
+                    seen.update(dict.fromkeys(ordered))
                 y_labels = tuple(seen)
         return cls(x_labels, y_labels, materialized)
 
@@ -176,22 +183,10 @@ class FiniteMapping(_Record):
 
     def x_bits(self, members: Iterable[Label]) -> int:
         """Bitset of a subset of X given by labels; unknown labels are an error."""
-        bits = 0
-        for x in members:
-            i = self._x_index.get(x)
-            if i is None:
-                raise DomainError(f"{x!r} is not in the domain")
-            bits |= 1 << i
-        return bits
+        return _bits(self.x_labels, members, "domain")
 
     def y_bits(self, members: Iterable[Label]) -> int:
-        bits = 0
-        for y in members:
-            j = self._y_index.get(y)
-            if j is None:
-                raise DomainError(f"{y!r} is not in the codomain")
-            bits |= 1 << j
-        return bits
+        return _bits(self.y_labels, members, "codomain")
 
     def x_labels_of(self, bits: int) -> tuple:
         return tuple([self.x_labels[i] for i in bit_indices(bits)])
@@ -209,10 +204,8 @@ class FiniteMapping(_Record):
     # -- label-level accessors -------------------------------------------
 
     def image(self, x: Label) -> frozenset:
-        """The image of a single domain element, as a set of labels."""
-        i = self._x_index.get(x)
-        if i is None:
-            raise DomainError(f"{x!r} is not in the domain")
+        """One element's image as a set of labels; see :meth:`images_by_label` for all."""
+        i = _position(self.x_labels, x, "domain")
         return frozenset(self.y_labels_of(self.image_bits[i]))
 
     def images_by_label(self) -> dict:
@@ -221,18 +214,30 @@ class FiniteMapping(_Record):
 
     # -- value semantics ---------------------------------------------------
 
-    def _key(self) -> tuple:
-        return self.x_labels, self.y_labels, self.image_bits
-
     def __repr__(self) -> str:
         body = ", ".join(f"{x!r}: {set(self.y_labels_of(b)) or '{}'}"
                          for x, b in zip(self.x_labels, self.image_bits))
         return f"FiniteMapping({{{body}}})"
 
     def __reduce__(self):
-        # _Record's would pass all five slots; the constructor takes images.
+        # _Record's would pass the bitsets; the constructor takes images.
         return self.__class__, (self.x_labels, self.y_labels, {
             x: self.y_labels_of(b) for x, b in zip(self.x_labels, self.image_bits)})
+
+
+def _position(labels: tuple, label: Label, ground: str) -> int:
+    """Where ``label`` sits in ``labels``; one not there is a :class:`DomainError`."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise DomainError(f"{label!r} is not in the {ground}") from None
+
+
+def _bits(labels: tuple, members: Iterable[Label], ground: str) -> int:
+    bits = 0
+    for label in members:
+        bits |= 1 << _position(labels, label, ground)
+    return bits
 
 
 def image_of_set(mapping: FiniteMapping, members: Iterable[Label]) -> frozenset:

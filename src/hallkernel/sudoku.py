@@ -117,7 +117,8 @@ class SudokuGrid(_Record):
     """Givens plus the candidate digits of unpopulated cells.
 
     A cell that is neither a given nor a key of ``candidates`` is unpopulated
-    with all nine digits, so a grid of givens alone stands for its markups.
+    with all nine digits, so a grid of givens alone stands for its markups,
+    and a grid is complete when every cell is given.
     :func:`propagate` and :func:`solve` never mutate a grid they are given;
     they return a new one.  Two grids compare equal when both the givens and
     the candidates agree.  A grid is mutable, so it is not hashable.
@@ -135,7 +136,7 @@ class SudokuGrid(_Record):
 
     @property
     def is_complete(self) -> bool:
-        return not self.candidates
+        return _SLOT_OF.keys() <= self.givens.keys()
 
     def __str__(self) -> str:
         return render(self)
@@ -164,7 +165,7 @@ def parse_grid(text: str) -> SudokuGrid:
             raise GridError(f"bad character {ch!r} at cell {ALL_CELLS[i]}")
     givens = {ALL_CELLS[i]: int(ch) for i, ch in enumerate(chars) if ch not in ".0"}
     try:
-        return _grid(*_slots(SudokuGrid(givens)))
+        return compute_markups(SudokuGrid(givens))
     except Contradiction:  # every repeated given lands here, as a clash
         for unit in ALL_UNITS:
             digits = [givens.get(cell) for cell in unit.cells]
@@ -184,16 +185,15 @@ def unit_mapping(grid: SudokuGrid, unit: Unit) -> FiniteMapping:
     """The unit's listed cells mapped to their candidate digits.
 
     It reads ``grid.candidates`` as they are, so it wants a marked-up grid:
-    call :func:`compute_markups` on a grid of givens alone first.  Public as
-    the paper's view of one unit, for callers and demos; the solver runs on
-    bitsets and never builds it.
+    call :func:`compute_markups` on a grid of givens alone first.  The
+    codomain is their digits, which :meth:`.FiniteMapping.from_dict` sorts.
+    Public as the paper's view of one unit, for callers and demos; the
+    solver runs on bitsets and never builds it.
     """
     xs = [c for c in unit.cells if c in grid.candidates]
     if not xs:
         raise DomainError(f"{unit} has no unpopulated cells")
-    digits = sorted(set().union(*(grid.candidates[c] for c in xs)))
-    return FiniteMapping.from_dict({c: grid.candidates[c] for c in xs},
-                                   y_order=digits)
+    return FiniteMapping.from_dict({c: grid.candidates[c] for c in xs})
 
 
 def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:

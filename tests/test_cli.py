@@ -534,3 +534,44 @@ def test_mapping_commands_match_recorded_transcript(capsys, monkeypatch):
                 code = main([command, "--format", fmt])
                 digest.update(repr((code, capsys.readouterr().out)).encode())
     assert digest.hexdigest() == MAPPING_TRANSCRIPT_SHA256
+
+
+#: Runs its argument vectors (JSON) through ``main`` after printing the
+#: codomain and least selection of a mapping whose labels do not sort together.
+_SEED_SCRIPT = """\
+import json, sys
+from hallkernel import FiniteMapping, extract_selection
+from hallkernel.cli import main
+f = FiniteMapping.from_dict({'p': {'a', 'b', 1}, 'q': {'a', 'b', 1}})
+print(f.y_labels, extract_selection(f).as_dict())
+for argv in json.loads(sys.argv[1]):
+    print(main(argv))
+"""
+
+
+def test_same_input_gives_the_same_output_under_every_hash_seed(tmp_path):
+    # Set order follows PYTHONHASHSEED, and seeds 1 and 2 order {'a', 'b', 1}
+    # differently, so no output may follow set order.
+    from test_sudoku import pigeonhole_text
+    argvs = []
+    for k, text in enumerate(_mapping_documents()[::97]):
+        path = write(tmp_path, f"doc{k}.txt", text)
+        argvs += [[command, "--format", fmt, "--input", path]
+                  for command in ("check", "partition", "kernel", "select", "enumerate")
+                  for fmt in ("text", "json")]
+    grids = write(tmp_path, "grids.txt", "\n".join(
+        [INKALA, pigeonhole_text(), "." * 81, blanked(canonical_grid_text(), [(1, 1)])]))
+    argvs += [["sudoku", command, "--format", "json", "--input", grids]
+              for command in ("propagate", "solve")]
+
+    def run_with_seed(seed):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", _SEED_SCRIPT, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        return done.returncode, done.stdout
+
+    first = run_with_seed("1")
+    assert first[0] == 0
+    assert first[1].startswith("(1, 'a', 'b') {'p': 1, 'q': 'a'}\n")
+    assert first[1].count("\n") > len(argvs)
+    assert run_with_seed("2") == first

@@ -80,6 +80,20 @@ class TestAlldifferentKernel:
             kern.image(4)
 
 
+@pytest.mark.parametrize("lookup, ground", [
+    (lambda label: M1.image(label), "domain"),
+    (lambda label: M1.x_bits([1, label]), "domain"),
+    (lambda label: M1.y_bits([1, label]), "codomain"),
+    (lambda label: alldifferent_kernel(M1).image(label), "domain"),
+    (lambda label: extract_selection(M1)[label], "domain"),
+], ids=["image", "x_bits", "y_bits", "KernelMapping.image", "Selection"])
+@pytest.mark.parametrize("label", [4, "zz", [1]], ids=["int", "str", "unhashable"])
+def test_an_unknown_label_is_a_domain_error_naming_it(lookup, ground, label):
+    with pytest.raises(DomainError) as caught:
+        lookup(label)
+    assert str(caught.value) == f"{label!r} is not in the {ground}"
+
+
 class TestIsAlldifferent:
     def test_examples(self):
         assert is_alldifferent(PERM3)

@@ -29,6 +29,11 @@ class TestConstruction:
         f = FiniteMapping.from_dict({1: ["b", 2], 2: [2, "a"]})
         assert f.y_labels == ("b", 2, "a")
 
+    def test_unsortable_labels_of_a_set_image_go_by_type_name_then_repr(self):
+        # A set's own order follows the hash seed; see test_cli for two seeds.
+        f = FiniteMapping.from_dict({"p": ["b", 2], "q": {"a", 3, "c"}, "r": frozenset({1})})
+        assert f.y_labels == ("b", 2, 3, "a", "c", 1)
+
     def test_explicit_y_order(self):
         f = FiniteMapping.from_dict({1: {2}}, y_order=(3, 2, 1))
         assert f.y_labels == (3, 2, 1)

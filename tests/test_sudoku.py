@@ -148,8 +148,19 @@ class TestParseGrid:
         assert grid.is_complete
         assert is_solved(grid)
 
+    def test_a_grid_is_complete_when_every_cell_is_given(self):
+        # A cell listed nowhere is open, so a grid of a few givens is not complete.
+        assert not SudokuGrid().is_complete
+        assert not SudokuGrid({(1, 1): 5}).is_complete
+        texts = [INKALA, "." * 81, canonical_grid_text(),
+                 blanked(canonical_grid_text(), [(1, 1), (5, 5)])]
+        results = [propagate(parse_grid(text)) for text in texts]
+        assert [grid.is_complete for grid in results] == [False, False, True, True]
+        for grid in results + [parse_grid(text) for text in texts]:
+            assert grid.is_complete == (not grid.candidates)
+
     def test_missing_givens_without_candidates_are_not_solved(self):
-        # No candidates means complete to is_complete, but the givens fall short.
+        # Cells listed nowhere are open, so is_complete and is_solved are False.
         assert not is_solved(SudokuGrid())
         full = parse_grid(canonical_grid_text())
         del full.givens[(5, 5)]
