@@ -10,7 +10,8 @@ is written to stderr).  A Sudoku batch gets one record per grid line and exits
 with the worst code over its lines.
 
 Every subcommand returns ``(exit code, JSON payload, text lines)``; only
-:func:`main` chooses between the two output formats.  A process imports only
+:func:`main` chooses between the two output formats.  Payload and lines may be
+lazy, and :func:`main` reads only the one it prints.  A process imports only
 what its subcommand runs: :mod:`hallkernel.sudoku` is loaded by the sudoku
 handlers alone, which report a bad grid as a :class:`DocumentError`,
 :mod:`json` by ``--format json`` alone, and :mod:`hallkernel.oracle`, the
@@ -121,9 +122,8 @@ def serialize_mapping_document(mapping: FiniteMapping) -> str:
             seen[token] = label
     lines = ["X: " + " ".join(str(x) for x in mapping.x_labels),
              "Y: " + " ".join(str(y) for y in mapping.y_labels)]
-    for x, image in mapping.images_by_label().items():
-        ys = " ".join(_names(mapping.y_labels, image))
-        lines.append(f"{x} : {ys}".rstrip())
+    for x, bits in zip(mapping.x_labels, mapping.image_bits):
+        lines.append(f"{x} :" + "".join(f" {y}" for y in mapping.y_labels_of(bits)))
     return "\n".join(lines) + "\n"
 
 
@@ -197,12 +197,11 @@ def _cmd_select(mapping: FiniteMapping):
 
 
 def _cmd_enumerate(mapping: FiniteMapping):
-    # The output can grow as n!.
+    # The output can grow as n!, so each rendering is a lazy walk of its own.
     check_size_cap("selection enumeration", len(mapping.x_labels), SELECTION_CAP)
-    selections = list(iter_selections(mapping))
-    return (0, {"selections": [{str(x): str(y) for x, y in s.items()}
-                               for s in selections]},
-            [" ".join(f"{x}->{y}" for x, y in s.items()) for s in selections])
+    return (0, {"selections": ({str(x): str(y) for x, y in s.items()}
+                               for s in iter_selections(mapping))},
+            (" ".join(f"{x}->{y}" for x, y in s.items()) for s in iter_selections(mapping)))
 
 
 # -- sudoku subcommands ------------------------------------------------------
@@ -317,9 +316,9 @@ def main(argv=None) -> int:
     try:
         if args.format == "json":
             import json
-            print(json.dumps(payload))
-        elif lines:
-            print("\n".join(lines))
+            print(json.dumps(payload, default=list))  # a payload's lazy list is a generator
+        else:
+            sys.stdout.writelines(line + "\n" for line in lines)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left early, as ``| head`` does
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

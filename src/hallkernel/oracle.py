@@ -28,8 +28,7 @@ def enumerate_selections(mapping: FiniteMapping, *, cap: int = SELECTION_CAP,
         raise ValueError(f"limit {limit} is negative")
     xs = mapping.x_labels
     check_size_cap("selection enumeration", len(xs), cap)
-    ordered_images = [tuple([y for y in mapping.y_labels if y in mapping.image(x)])
-                      for x in xs]
+    ordered_images = [mapping.y_labels_of(bits) for bits in mapping.image_bits]
     found: list[Selection] = []
     picks: list = []
     used: set = set()
@@ -67,11 +66,10 @@ def oracle_hall_check(mapping: FiniteMapping) -> HallViolation | None:
     Returns the first violating subset in increasing-size, then lexicographic,
     order; ``None`` when the Hall condition holds.
     """
-    xs = mapping.x_labels
-    check_size_cap("subset scan", len(xs), SUBSET_SCAN_CAP)
-    images = {x: mapping.image(x) for x in xs}
-    for size in range(1, len(xs) + 1):
-        for combo in combinations(xs, size):
+    images = mapping.images_by_label()
+    check_size_cap("subset scan", len(images), SUBSET_SCAN_CAP)
+    for size in range(1, len(images) + 1):
+        for combo in combinations(images, size):
             union: set = set()
             for x in combo:
                 union |= images[x]

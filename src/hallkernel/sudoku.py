@@ -222,24 +222,27 @@ def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
     # Every grid's one way into the engine: its givens and candidate masks as
     # 81-slot lists.  A cell listed nowhere is open with all nine digits, and
     # the givens are struck from the open slots, in slot order, through the
-    # units' masks of given digits.  A cell off the grid, a digit outside
-    # 1..9 or a cell with both a given and candidates is a GridError; two
-    # neighbouring givens with one digit, or an open cell left with no
-    # digit, contradict.  Each given is checked for its digit, then for
-    # candidates, then for a clash, before the next, and all before any
-    # strike; a clash names the first neighbour in slot order.
+    # units' masks of given digits.  A cell off the grid, a given not an int in
+    # 1..9, a candidate not in 1..9 or a cell with both a given and candidates
+    # is a GridError; two neighbouring givens with one digit, or an open cell
+    # left with no digit, contradict.  Each given is checked for its digit,
+    # then for candidates, then for a clash, before the next, and all before
+    # any strike; a clash names the first neighbour in slot order.
     for cell in (*grid.candidates, *grid.givens):
         if cell not in _SLOT_OF:
             raise GridError(f"cell {cell!r} is not on the grid")
     givens = [0] * 81
     masks = [_DIGIT_BITS] * 81
     for cell, digits in grid.candidates.items():
-        if not DIGITS.issuperset(digits):
-            raise GridError(f"cell {cell} has candidates outside 1..9: {digits!r}")
-        masks[_SLOT_OF[cell]] = sum({1 << d for d in digits})
+        try:  # 5.0 is in DIGITS but cannot shift, and fails as a non-digit does
+            if not DIGITS.issuperset(digits):
+                raise TypeError
+            masks[_SLOT_OF[cell]] = sum({1 << d for d in digits})
+        except TypeError:
+            raise GridError(f"cell {cell} has candidates outside 1..9: {digits!r}") from None
     used = [0] * len(ALL_UNITS)  # each unit's mask of given digits
     for cell, digit in grid.givens.items():
-        if digit not in DIGITS:
+        if type(digit) is not int or digit not in DIGITS:
             raise GridError(f"cell {cell} has given {digit!r}, not a digit 1..9")
         if cell in grid.candidates:
             raise GridError(f"cell {cell} has both a given and candidates")

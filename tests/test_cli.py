@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import io
 import json
 import os
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from hallkernel import FiniteMapping, SizeCapError, cli
+from hallkernel.kernel import iter_selections
 from hallkernel.cli import (
     DocumentError,
     main,
@@ -479,6 +481,40 @@ def test_closed_pipe_exits_141_quietly(tmp_path):
         child.stdout.close()
         assert child.stderr.read() == b""
         assert child.wait(timeout=60) == 141
+
+
+def test_enumerate_draws_each_selection_as_it_is_written(tmp_path, capsys, monkeypatch):
+    # Text goes out as each selection is made, so a reader that stops after
+    # one line has cost at most the next one; JSON walks the selections once.
+    class ReaderLeft(Exception):
+        pass
+
+    class OneLineOut(io.StringIO):
+        def write(self, text):
+            if "\n" in self.getvalue():
+                raise ReaderLeft
+            return super().write(text)
+
+    drawn = []
+
+    def counting(mapping):
+        for selection in iter_selections(mapping):
+            drawn.append(selection)
+            yield selection
+
+    monkeypatch.setattr(cli, "iter_selections", counting)
+    k88 = FiniteMapping.from_dict({i: range(8) for i in range(8)})
+    path = write(tmp_path, "k88.txt", serialize_mapping_document(k88))
+    out = OneLineOut()
+    with monkeypatch.context() as patch, pytest.raises(ReaderLeft):
+        patch.setattr("sys.stdout", out)  # no BrokenPipeError: main must not dup2 fd 1
+        main(["enumerate", "--input", path])
+    assert 1 <= len(drawn) <= 2
+    assert out.getvalue() == "0->0 1->1 2->2 3->3 4->4 5->5 6->6 7->7\n"
+    drawn.clear()
+    code, out, _ = run(capsys, ["enumerate", "--input", path, "--format", "json"])
+    assert code == 0 and len(json.loads(out)["selections"]) == 40320
+    assert len(drawn) == len(set(drawn)) == 40320
 
 
 def test_a_process_imports_only_what_its_subcommand_runs(tmp_path, capsys):

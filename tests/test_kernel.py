@@ -135,8 +135,7 @@ class TestExtractSelection:
     def test_violation_inside_a_block_is_an_invariant_error(self, monkeypatch):
         # Unreachable with a correct scan; it must raise, not pass silently.
         # The scan hands over one block of two elements on one value.
-        monkeypatch.setattr("hallkernel.kernel.hall_scan", lambda *args: (
-            (0b11,), (0b1,), ExitKind.LAST_BLOCK_CRITICAL))
+        monkeypatch.setattr("hallkernel.kernel.hall_scan", lambda *args: ((0b11,), (0b1,)))
         with pytest.raises(RuntimeError, match="no complete matching"):
             extract_selection(PIGEON)
 

@@ -294,8 +294,11 @@ class TestPropagate:
         ((1, 1), None, {0, 5}),
         ((0, 0), None, {1}),
         ((1, 1), 5, {6}),
+        ((1, 1), 5.0, None),
+        ((1, 1), True, None),
+        ((1, 1), None, {5.0}),
     ], ids=["given-12", "given-0", "candidates-10", "candidates-0-5", "cell-off-the-grid",
-            "given-and-candidates"])
+            "given-and-candidates", "given-5.0", "given-True", "candidates-5.0"])
     def test_impossible_hand_built_cell_is_a_grid_error(self, cell, given, candidates):
         # parse_grid never builds these; propagate and solve must name the cell
         # rather than return a grid that breaks it or fail somewhere inside.
