@@ -11,12 +11,11 @@ least as large as the subset), and it is unique up to renumbering.
 lex)-first subset of what remains whose residual image is no larger than
 itself, or else the whole rest.  A smaller residual image certifies a
 Hall-condition violation instead, returned as a value, never raised.  The
-scan runs on bitsets; labels appear only in :func:`compute_hall_partition`,
-which reads the exit kind off the last block, and :func:`check_hall`.  A
-one-element block is peeled in place from the lists of positions and images
-the scan carries from step to step, so a forced chain builds no list per
-step.  A step whose hit is the whole rest ends the scan there, as its last
-block.
+scan runs on bitsets; labels appear only in :func:`compute_hall_partition`
+and :func:`check_hall`.  A one-element block is peeled in place from the
+lists of positions and images the scan carries from step to step, so a
+forced chain builds no list per step.  A step whose hit is the whole rest
+ends the scan there, as its last block.
 
 A step with no hit of size 1 first counts, in one pass over its residual
 images, how many values each image has and how many images hold each value.
@@ -80,13 +79,20 @@ class HallPartition(_Record):
     are pairwise disjoint and together cover the image of the whole domain.
     """
 
-    __slots__ = __match_args__ = ("blocks", "residual_images", "exit_kind")
+    __slots__ = ("blocks", "residual_images")
+    __match_args__ = ("blocks", "residual_images", "exit_kind")
 
     def __init__(self, blocks: tuple[frozenset, ...],
-                 residual_images: tuple[frozenset, ...], exit_kind: ExitKind):
+                 residual_images: tuple[frozenset, ...]):
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "residual_images", residual_images)
-        object.__setattr__(self, "exit_kind", exit_kind)
+
+    @property
+    def exit_kind(self) -> ExitKind:
+        """Critical exactly when the last block's residual image is as large as it."""
+        if len(self.residual_images[-1]) == len(self.blocks[-1]):
+            return ExitKind.LAST_BLOCK_CRITICAL
+        return ExitKind.LAST_BLOCK_NONCRITICAL
 
 
 class HallViolation(_Record):
@@ -403,20 +409,15 @@ def compute_hall_partition(mapping: FiniteMapping) -> HallPartition | HallViolat
     """Compute the Hall partition of a mapping, or a violation witness.
 
     Runs :func:`hall_scan` over the whole domain and turns its bitsets into
-    label sets.  The exit kind is read off the last block: critical exactly
-    when its residual image has as many values as it has members.
+    label sets; the partition reads its exit kind off the last block.
     """
     result = hall_scan(mapping.image_bits)
     if isinstance(result, int):
         return HallViolation(frozenset(mapping.x_labels_of(result)))
     block_bits, residual_bits = result
-    critical = residual_bits[-1].bit_count() == block_bits[-1].bit_count()
     return HallPartition(
-        blocks=tuple([frozenset(mapping.x_labels_of(b)) for b in block_bits]),
-        residual_images=tuple([frozenset(mapping.y_labels_of(r)) for r in residual_bits]),
-        exit_kind=(ExitKind.LAST_BLOCK_CRITICAL if critical
-                   else ExitKind.LAST_BLOCK_NONCRITICAL),
-    )
+        tuple([frozenset(mapping.x_labels_of(b)) for b in block_bits]),
+        tuple([frozenset(mapping.y_labels_of(r)) for r in residual_bits]))
 
 
 def check_hall(mapping: FiniteMapping) -> HallViolation | None:
@@ -434,44 +435,29 @@ def verify_partition(mapping: FiniteMapping, partition: HallPartition) -> bool:
     operations only (including the exhaustive non-reducibility check): the
     blocks must partition the domain, each block must have nonempty images
     and be non-reducible in the chained residual mapping, every block but the
-    last must be critical there, and the stored residual images and exit kind
-    must agree with recomputation.  Anything other than a
-    :class:`HallPartition`, a :class:`HallViolation` included, is rejected.
-    Shares no code with :func:`compute_hall_partition`.
+    last must be critical there, and the stored residual images must agree
+    with recomputation; the exit kind follows from the last of them.
+    Anything other than a :class:`HallPartition`, a :class:`HallViolation`
+    included, is rejected.  Shares no code with :func:`compute_hall_partition`.
     """
     if not isinstance(partition, HallPartition):
         return False
     blocks = partition.blocks
-    if len(blocks) != len(partition.residual_images):
-        return False
-    covered: set = set()
-    total = 0
-    for block in blocks:
-        if not block:
-            return False
-        covered |= block
-        total += len(block)
-    if total != len(mapping.x_labels) or covered != set(mapping.x_labels):
+    if (len(blocks) != len(partition.residual_images) or not all(blocks)
+            or sum(map(len, blocks)) != len(mapping.x_labels)
+            or set().union(*blocks) != set(mapping.x_labels)):
         return False
     current = mapping
-    last_critical = None
     for i, block in enumerate(blocks):
-        if partition.residual_images[i] != image_of_set(current, block):
+        if (partition.residual_images[i] != image_of_set(current, block)
+                or any(not current.image(x) for x in block)
+                or not is_non_reducible(current, block)):
             return False
-        if any(not current.image(x) for x in block):
-            return False
-        if not is_non_reducible(current, block):
-            return False
-        critical = is_critical(current, block)
         if i < len(blocks) - 1:
-            if not critical:
+            if not is_critical(current, block):
                 return False
             current = residual(current, block)
-        else:
-            last_critical = critical
-    expected = (ExitKind.LAST_BLOCK_CRITICAL if last_critical
-                else ExitKind.LAST_BLOCK_NONCRITICAL)
-    return partition.exit_kind is expected
+    return True
 
 
 def partitions_equal_up_to_renumbering(first: HallPartition,

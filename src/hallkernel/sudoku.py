@@ -182,18 +182,19 @@ def compute_markups(grid: SudokuGrid) -> SudokuGrid:
 
 
 def unit_mapping(grid: SudokuGrid, unit: Unit) -> FiniteMapping:
-    """The unit's listed cells mapped to their candidate digits.
+    """The unit's open cells mapped to their candidate digits.
 
-    It reads ``grid.candidates`` as they are, so it wants a marked-up grid:
-    call :func:`compute_markups` on a grid of givens alone first.  The
-    codomain is their digits, which :meth:`.FiniteMapping.from_dict` sorts.
-    Public as the paper's view of one unit, for callers and demos; the
-    solver runs on bitsets and never builds it.
+    The grid enters as in :func:`propagate`: a cell listed nowhere has its
+    markup, and the givens are struck from every open cell.  The codomain is
+    their digits, which :meth:`.FiniteMapping.from_dict` sorts.  Public as
+    the paper's view of one unit, for callers and demos; the solver runs on
+    bitsets and never builds it.
     """
-    xs = [c for c in unit.cells if c in grid.candidates]
-    if not xs:
+    masks = _slots(grid)[1]
+    images = {c: bit_indices(m) for c in unit.cells if (m := masks[_SLOT_OF[c]])}
+    if not images:
         raise DomainError(f"{unit} has no unpopulated cells")
-    return FiniteMapping.from_dict({c: grid.candidates[c] for c in xs})
+    return FiniteMapping.from_dict(images)
 
 
 def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
@@ -242,8 +243,7 @@ def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
             raise GridError(f"cell {cell} has candidates outside 1..9: {digits!r}") from None
     used = [0] * len(ALL_UNITS)  # each unit's mask of given digits
     for cell, digit in grid.givens.items():
-        if type(digit) is not int or digit not in DIGITS:
-            raise GridError(f"cell {cell} has given {digit!r}, not a digit 1..9")
+        _check_given(cell, digit)
         if cell in grid.candidates:
             raise GridError(f"cell {cell} has both a given and candidates")
         i = _SLOT_OF[cell]
@@ -266,6 +266,12 @@ def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
                 raise Contradiction(f"cell {ALL_CELLS[i]} has no admissible digit",
                                     cells=(ALL_CELLS[i],))
     return givens, masks
+
+
+def _check_given(cell: Cell, digit) -> None:
+    # The one check of a given's digit, for _slots and grid_line.
+    if type(digit) is not int or digit not in DIGITS:
+        raise GridError(f"cell {cell} has given {digit!r}, not a digit 1..9")
 
 
 def _grid(givens: list, masks) -> SudokuGrid:
@@ -430,5 +436,11 @@ def render(grid: SudokuGrid) -> str:
 
 
 def grid_line(grid: SudokuGrid) -> str:
-    """The 81-character single-line form; unpopulated cells print ``.``."""
+    """The 81-character single-line form; unpopulated cells print ``.``.
+
+    A given that is not an int in 1..9 raises :class:`GridError`, as in
+    :func:`propagate`; :func:`render` and ``str(grid)`` print this line.
+    """
+    for cell, digit in grid.givens.items():
+        _check_given(cell, digit)
     return "".join(str(grid.givens.get(cell, ".")) for cell in ALL_CELLS)

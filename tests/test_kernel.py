@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 
 from hallkernel import (
     DomainError,
-    ExitKind,
     FiniteMapping,
     HallPartition,
     HallViolation,
@@ -52,8 +51,7 @@ class TestKernelFromPartition:
     def test_invalid_partition_is_a_contract_error(self):
         bogus = HallPartition(
             blocks=(frozenset({1}), frozenset({2}), frozenset({3})),
-            residual_images=(frozenset({1, 2}), frozenset({1, 2}), frozenset({3})),
-            exit_kind=ExitKind.LAST_BLOCK_CRITICAL)
+            residual_images=(frozenset({1, 2}), frozenset({1, 2}), frozenset({3})))
         with pytest.raises(InvalidPartitionError):
             kernel_from_partition(M1, bogus)
         with pytest.raises(InvalidPartitionError):
@@ -174,16 +172,15 @@ def closed_forms(n):
     every = frozenset(range(n))
     path = [frozenset({i, i + 1}) for i in range(n)]
     singles = [frozenset({i}) for i in range(n)]
-    critical, noncritical = ExitKind.LAST_BLOCK_CRITICAL, ExitKind.LAST_BLOCK_NONCRITICAL
     return {
-        "path": (path, HallPartition((every,), (every | {n},), noncritical),
+        "path": (path, HallPartition((every,), (every | {n},)),
                  path, True, False),
         "triangular": ([frozenset(range(i + 1)) for i in range(n)],
-                       HallPartition(tuple(singles), tuple(singles), critical),
+                       HallPartition(tuple(singles), tuple(singles)),
                        singles, False, True),
-        "complete": ([every] * n, HallPartition((every,), (every,), critical),
+        "complete": ([every] * n, HallPartition((every,), (every,)),
                      [every] * n, True, False),
-        "singletons": (singles, HallPartition(tuple(singles), tuple(singles), critical),
+        "singletons": (singles, HallPartition(tuple(singles), tuple(singles)),
                        singles, True, True),
     }
 

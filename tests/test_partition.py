@@ -63,8 +63,32 @@ class TestComputeHallPartition:
         singletons = FiniteMapping.from_dict({i: {i} for i in range(25)})
         assert compute_hall_partition(singletons) == HallPartition(
             tuple(frozenset({i}) for i in range(25)),
-            tuple(frozenset({i}) for i in range(25)),
-            ExitKind.LAST_BLOCK_CRITICAL)
+            tuple(frozenset({i}) for i in range(25)))
+
+    def test_the_blocks_and_residual_images_are_the_record(self):
+        # The exit kind is no field: a partition rebuilt from its two fields
+        # equals it and reads the same exit kind off its last block.
+        rng = random.Random(38)
+        corpus = [*all_mappings_3x3(), *(random_mapping(rng) for _ in range(300))]
+        kinds = Counter()
+        for f in corpus:
+            p = compute_hall_partition(f)
+            if isinstance(p, HallPartition):
+                rebuilt = HallPartition(p.blocks, p.residual_images)
+                assert rebuilt == p and rebuilt.exit_kind is p.exit_kind
+                kinds[p.exit_kind] += 1
+        assert kinds.keys() == set(ExitKind)
+        assert HallPartition.__slots__ == ("blocks", "residual_images")
+        with pytest.raises(AttributeError):
+            compute_hall_partition(M1).exit_kind = ExitKind.LAST_BLOCK_NONCRITICAL
+
+    def test_exit_kind_is_read_off_the_last_block(self):
+        # The blocks before the last play no part, valid or not.
+        wide = HallPartition((frozenset({1}), frozenset({2})),
+                             (frozenset({1, 2}), frozenset({3, 4})))
+        assert wide.exit_kind is ExitKind.LAST_BLOCK_NONCRITICAL
+        tight = HallPartition(wide.blocks, (frozenset(), frozenset({3})))
+        assert tight.exit_kind is ExitKind.LAST_BLOCK_CRITICAL
 
     def test_pruning_changes_nothing(self):
         for f in (M1, PERM4, FiniteMapping.from_dict({1: {1, 2}, 2: {1, 2, 3}})):
@@ -452,8 +476,7 @@ class TestWhenTheCompletionRuns:
         f = FiniteMapping.from_dict({i: {i, i + 1} for i in range(1, n + 1)})
         got = compute_hall_partition(f)
         assert got == HallPartition((frozenset(range(1, n + 1)),),
-                                    (frozenset(range(1, n + 2)),),
-                                    ExitKind.LAST_BLOCK_NONCRITICAL)
+                                    (frozenset(range(1, n + 2)),))
         assert alldifferent_kernel(f).images == tuple(
             frozenset({i, i + 1}) for i in range(1, n + 1))
         assert extract_selection(f).values == tuple(range(1, n + 1))
@@ -496,56 +519,50 @@ class TestVerifyPartition:
     def test_rejects_wrong_block_order(self):
         bogus = HallPartition(
             blocks=(frozenset({3}), frozenset({1, 2})),
-            residual_images=(frozenset({1, 2, 3}), frozenset()),
-            exit_kind=ExitKind.LAST_BLOCK_CRITICAL)
+            residual_images=(frozenset({1, 2, 3}), frozenset()))
         assert not verify_partition(M1, bogus)
 
     def test_rejects_reducible_blocks(self):
         bogus = HallPartition(
             blocks=(frozenset({1}), frozenset({2}), frozenset({3})),
-            residual_images=(frozenset({1, 2}), frozenset({1, 2}), frozenset({3})),
-            exit_kind=ExitKind.LAST_BLOCK_CRITICAL)
+            residual_images=(frozenset({1, 2}), frozenset({1, 2}), frozenset({3})))
         assert not verify_partition(M1, bogus)
 
     def test_rejects_a_coarser_block(self):
         # One block {1, 2} passes every clause but non-reducibility: {1} is
         # critical inside it, and the Hall partition has {1} and {2}.
         f = FiniteMapping.from_dict({1: {1}, 2: {2}})
-        coarse = HallPartition((frozenset({1, 2}),), (frozenset({1, 2}),),
-                               ExitKind.LAST_BLOCK_CRITICAL)
+        coarse = HallPartition((frozenset({1, 2}),), (frozenset({1, 2}),))
         assert not verify_partition(f, coarse)
         assert verify_partition(f, compute_hall_partition(f))
 
     def test_rejects_non_partitions(self):
         good = compute_hall_partition(M1)
-        missing = HallPartition(good.blocks[:1], good.residual_images[:1],
-                                ExitKind.LAST_BLOCK_CRITICAL)
+        missing = HallPartition(good.blocks[:1], good.residual_images[:1])
         assert not verify_partition(M1, missing)
         overlapping = HallPartition(
             blocks=(frozenset({1, 2}), frozenset({2, 3})),
-            residual_images=good.residual_images,
-            exit_kind=good.exit_kind)
+            residual_images=good.residual_images)
         assert not verify_partition(M1, overlapping)
         pigeon = FiniteMapping.from_dict({1: {1}, 2: {1}})
         assert not verify_partition(pigeon, compute_hall_partition(pigeon))
 
     def test_rejects_more_residuals_than_blocks(self):
         good = compute_hall_partition(M1)
-        extra = HallPartition(good.blocks, good.residual_images + (frozenset(),),
-                              good.exit_kind)
+        extra = HallPartition(good.blocks, good.residual_images + (frozenset(),))
         assert not verify_partition(M1, extra)
 
     def test_rejects_an_empty_block(self):
         good = compute_hall_partition(M1)
         padded = HallPartition((frozenset(),) + good.blocks,
-                               (frozenset(),) + good.residual_images, good.exit_kind)
+                               (frozenset(),) + good.residual_images)
         assert not verify_partition(M1, padded)
 
     def test_rejects_an_element_with_an_empty_residual_image(self):
         # {1} is critical, and it strikes the only value 2 can take.
         pigeon = FiniteMapping.from_dict({1: {1}, 2: {1}})
         split = HallPartition((frozenset({1}), frozenset({2})),
-                              (frozenset({1}), frozenset()), ExitKind.LAST_BLOCK_CRITICAL)
+                              (frozenset({1}), frozenset()))
         assert not verify_partition(pigeon, split)
 
     def test_accepts_valid_alternative_orderings(self):
@@ -553,20 +570,15 @@ class TestVerifyPartition:
         f = FiniteMapping.from_dict(
             {1: {1, 2}, 2: {1, 2}, 3: {3, 4}, 4: {3, 4}})
         found = compute_hall_partition(f)
-        swapped = HallPartition(found.blocks[::-1], found.residual_images[::-1],
-                                found.exit_kind)
+        swapped = HallPartition(found.blocks[::-1], found.residual_images[::-1])
         assert verify_partition(f, found)
         assert verify_partition(f, swapped)
         assert partitions_equal_up_to_renumbering(found, swapped)
 
-    def test_rejects_tampered_residuals_and_exit(self):
+    def test_rejects_tampered_residuals(self):
         good = compute_hall_partition(M1)
-        wrong_residual = HallPartition(
-            good.blocks, (frozenset({1}), frozenset({3})), good.exit_kind)
+        wrong_residual = HallPartition(good.blocks, (frozenset({1}), frozenset({3})))
         assert not verify_partition(M1, wrong_residual)
-        wrong_exit = HallPartition(good.blocks, good.residual_images,
-                                   ExitKind.LAST_BLOCK_NONCRITICAL)
-        assert not verify_partition(M1, wrong_exit)
 
 
 class TestEqualUpToRenumbering:

@@ -21,10 +21,9 @@ BASE = FiniteMapping.from_dict({1: (1, 2), 2: (2,)})
 #: A builder of one record of each class, and the record's literal repr.
 RECORDS = [
     (lambda: HallPartition((frozenset({2}), frozenset({1})),
-                           (frozenset({"b"}), frozenset({"a"})), ExitKind.LAST_BLOCK_CRITICAL),
+                           (frozenset({"b"}), frozenset({"a"}))),
      "HallPartition(blocks=(frozenset({2}), frozenset({1})), residual_images="
-     "(frozenset({'b'}), frozenset({'a'})), exit_kind=<ExitKind.LAST_BLOCK_CRITICAL: "
-     "'LastBlockCritical'>)"),
+     "(frozenset({'b'}), frozenset({'a'})))"),
     (lambda: HallViolation(frozenset({3})), "HallViolation(witness=frozenset({3}))"),
     (lambda: Selection((1, 2), ("a", "b")), "Selection(x_labels=(1, 2), values=('a', 'b'))"),
     (lambda: KernelMapping(BASE, (frozenset({1}), frozenset({2}))),

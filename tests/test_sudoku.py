@@ -15,6 +15,7 @@ from hallkernel.sudoku import (
     ALL_UNITS,
     BLOCKS,
     COLUMNS,
+    DIGITS,
     ROWS,
     Contradiction,
     GridError,
@@ -232,6 +233,18 @@ class TestUnitMapping:
         grid = parse_grid("".join(chars))
         mapping = unit_mapping(grid, ROWS[0])
         assert mapping.images_by_label() == {(1, 9): {9}}
+
+    def test_reads_the_grid_as_propagate_does(self):
+        # A cell listed nowhere has its markup, and a given is struck from a
+        # listed cell, as the engine reads both.
+        givens_only = SudokuGrid({(1, 1): 5})
+        assert unit_mapping(givens_only, ROWS[0]).images_by_label() == {
+            (1, c): DIGITS - {5} for c in range(2, 10)}
+        listed = SudokuGrid({(1, 1): 5}, {(1, 2): {5, 6}})
+        marked = propagate(listed, max_sweeps=0)
+        assert marked.candidates[(1, 2)] == {6}
+        assert unit_mapping(listed, ROWS[0]).images_by_label() == {
+            c: marked.candidates[c] for c in ROWS[0].cells if c in marked.candidates}
 
 
 class TestPropagate:
@@ -644,6 +657,14 @@ class TestRendering:
         assert parse_grid(grid_line(grid)) == grid
         assert parse_grid(render(grid).replace("|", " ").replace("-", " ")
                           .replace("+", " ")) == grid
+
+    @pytest.mark.parametrize("given", [True, 10])
+    def test_a_given_not_a_digit_is_a_grid_error(self, given):
+        # Unchecked, True printed as four cells and 10 as two.
+        grid = SudokuGrid({(1, 1): given})
+        for call in (grid_line, render, str):
+            with pytest.raises(GridError, match=re.escape(f"cell (1, 1) has given {given!r}")):
+                call(grid)
 
     def test_str_is_render(self):
         grid = parse_grid(naked_pair_text())
