@@ -57,6 +57,14 @@ def bit_indices(bits: int):
         bits ^= low
 
 
+def _label_key(label) -> tuple:
+    # Its type's name, then a set's members by their own keys, sorted, since
+    # a set's iteration order follows the hash seed; any other label's repr.
+    if isinstance(label, (set, frozenset)):
+        return type(label).__qualname__, sorted([_label_key(y) for y in label])
+    return type(label).__qualname__, repr(label)
+
+
 class _Record:
     """Value semantics for a result record whose fields are its ``__slots__``.
 
@@ -148,10 +156,11 @@ class FiniteMapping(_Record):
 
         The domain order is the insertion order of ``images``.  The codomain
         is ``y_order`` when given; otherwise it is inferred as the union of
-        the images, sorted when the labels are sortable and in
-        first-appearance order otherwise, where a ``set`` or ``frozenset``
-        image, whose own order follows the hash seed, gives its members in
-        ``(type(y).__qualname__, repr(y))`` order.
+        the images, sorted when ``sorted`` puts the labels in strictly
+        increasing order and in first-appearance order otherwise, where a
+        ``set`` or ``frozenset`` image, whose own order follows the hash
+        seed, gives its members by type name, then a set label by its
+        members in this order and any other label by its ``repr``.
         """
         materialized = {x: tuple(members) for x, members in images.items()}
         x_labels = tuple(materialized)
@@ -164,13 +173,14 @@ class FiniteMapping(_Record):
                     seen.setdefault(y)
             try:
                 y_labels = tuple(sorted(seen))
+                if not all([a < b for a, b in zip(y_labels, y_labels[1:])]):
+                    raise TypeError  # a partial order, as the subset test of sets
             except TypeError:
                 seen.clear()
                 for x, members in images.items():
                     ordered = materialized[x]
                     if isinstance(members, (set, frozenset)):
-                        ordered = sorted(
-                            ordered, key=lambda y: (type(y).__qualname__, repr(y)))
+                        ordered = sorted(ordered, key=_label_key)
                     seen.update(dict.fromkeys(ordered))
                 y_labels = tuple(seen)
         return cls(x_labels, y_labels, materialized)

@@ -11,14 +11,15 @@ single digit; :func:`solve` adds depth-first search on top.  Inside, cells
 are slots 0..80 in row-major order: markup, propagation and search keep a
 digit and a 9-bit candidate mask (bit ``d`` for digit ``d``) per slot in two
 81-int lists, 0 meaning none, and ``(row, column)`` labels and sets of digits
-exist only at the public boundary.  Every grid enters through one
-conversion: a cell listed nowhere is open with all nine digits, and the
-givens are struck from every open cell through the 27 units' masks of given
-digits, so a markup is what an unlisted cell comes out as.  Propagation
-keeps the units still to visit as a 27-bit mask and walks only those, in
-sweep order (rows, columns, blocks).  A unit whose kernel is its tuple of
-masks itself (one block of two or more cells) changes nothing; :func:`solve`
-and :func:`propagate` mark such tuples for one call, up to ``KERNEL_MEMO_CAP``
+exist only at the public boundary.  A :class:`SudokuGrid` is checked when it
+is built and holds those two lists as tuples: a cell listed nowhere is open
+with all nine digits, and the givens are struck from every open cell through
+the 27 units' masks of given digits.  The engine copies a grid's tuples and
+builds its results from its lists, unchecked.  Propagation keeps the units
+still to visit as a 27-bit mask and walks only those, in sweep order (rows,
+columns, blocks).  A unit whose kernel is its tuple of masks itself (one
+block of two or more cells) changes nothing; :func:`solve` and
+:func:`propagate` mark such tuples for one call, up to ``KERNEL_MEMO_CAP``
 of them, so that a repeat visit ends at the lookup.  No kernel is cached:
 every elimination and every contradiction comes from the visit that applies
 it.  A search branch promotes its digit itself and re-propagates from the
@@ -28,6 +29,7 @@ units that promotion changed.
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 
 from .mappings import DomainError, FiniteMapping, _Record, bit_indices
 from .kernel import kernel_bits
@@ -114,29 +116,86 @@ _ALL_UNIT_BITS = (1 << len(ALL_UNITS)) - 1
 
 
 class SudokuGrid(_Record):
-    """Givens plus the candidate digits of unpopulated cells.
+    """Givens plus the candidate digits of unpopulated cells, checked once.
 
     A cell that is neither a given nor a key of ``candidates`` is unpopulated
-    with all nine digits, so a grid of givens alone stands for its markups,
-    and a grid is complete when every cell is given.
-    :func:`propagate` and :func:`solve` never mutate a grid they are given;
-    they return a new one.  Two grids compare equal when both the givens and
-    the candidates agree.  A grid is mutable, so it is not hashable.
+    with all nine digits, and the givens are struck from every unpopulated
+    cell, so a grid of givens alone stands for its markups.  Building a grid
+    is its only check.  A cell off the grid, a given not an ``int`` in 1..9,
+    a candidate not in 1..9 or a cell with both a given and candidates is a
+    :class:`GridError`; two givens of one digit in a unit, or an unpopulated
+    cell left with no digit, a :class:`Contradiction`.  Each given is checked
+    for its digit, then for candidates, then for a clash, before the next,
+    and all before any strike; a clash names the first neighbour in slot
+    order.  A grid is immutable, hashable and equal to a grid with the same
+    cells.  ``givens`` and ``candidates`` are read-only mappings in row-major
+    order; ``candidates`` holds a ``frozenset`` for every unpopulated cell.
     """
 
-    __slots__ = __match_args__ = ("givens", "candidates")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    __slots__ = ("_digits", "_masks", "givens", "_candidates")
+    __match_args__ = ("givens", "candidates")
 
-    def __init__(self, givens: dict[Cell, int] | None = None,
-                 candidates: dict[Cell, set[int]] | None = None):
-        self.givens = {} if givens is None else givens
-        self.candidates = {} if candidates is None else candidates
+    def __new__(cls, givens: dict[Cell, int] | None = None,
+                candidates: dict[Cell, set[int]] | None = None) -> SudokuGrid:
+        givens, candidates = givens or {}, candidates or {}
+        for cell in (*candidates, *givens):
+            if cell not in _SLOT_OF:
+                raise GridError(f"cell {cell!r} is not on the grid")
+        digits = [0] * 81
+        masks = [_DIGIT_BITS] * 81
+        for cell, listed in candidates.items():
+            try:  # 5.0 is in DIGITS but cannot shift, and fails as a non-digit does
+                if not DIGITS.issuperset(listed):
+                    raise TypeError
+                masks[_SLOT_OF[cell]] = sum({1 << d for d in listed})
+            except TypeError:
+                raise GridError(f"cell {cell} has candidates outside 1..9: {listed!r}") from None
+        used = [0] * len(ALL_UNITS)  # each unit's mask of given digits
+        for cell, digit in givens.items():
+            if type(digit) is not int or digit not in DIGITS:
+                raise GridError(f"cell {cell} has given {digit!r}, not a digit 1..9")
+            if cell in candidates:
+                raise GridError(f"cell {cell} has both a given and candidates")
+            i = _SLOT_OF[cell]
+            bit = 1 << digit
+            row, column, block = _SLOT_UNITS[i]
+            if (used[row] | used[column] | used[block]) & bit:
+                j = next(j for j in _NEIGHBOR_SLOTS[i] if digits[j] == digit)
+                raise Contradiction(f"cells {ALL_CELLS[j]} and {cell} both hold {digit}",
+                                    cells=(ALL_CELLS[j], cell))
+            digits[i] = digit
+            masks[i] = 0
+            used[row] |= bit
+            used[column] |= bit
+            used[block] |= bit
+        for i, digit in enumerate(digits):
+            if not digit:
+                row, column, block = _SLOT_UNITS[i]
+                masks[i] &= ~(used[row] | used[column] | used[block])
+                if not masks[i]:
+                    raise Contradiction(f"cell {ALL_CELLS[i]} has no admissible digit",
+                                        cells=(ALL_CELLS[i],))
+        return _grid(digits, masks)
+
+    @property
+    def candidates(self) -> MappingProxyType:
+        if self._candidates is None:
+            object.__setattr__(self, "_candidates", MappingProxyType(
+                {ALL_CELLS[i]: frozenset(bit_indices(m)) for i, m in enumerate(self._masks) if m}))
+        return self._candidates
+
+    def _key(self) -> tuple:
+        return self._digits, self._masks
+
+    def __repr__(self) -> str:
+        return f"SudokuGrid(givens={dict(self.givens)!r}, candidates={dict(self.candidates)!r})"
+
+    def __reduce__(self):
+        return SudokuGrid, (dict(self.givens), dict(self.candidates))
 
     @property
     def is_complete(self) -> bool:
-        return _SLOT_OF.keys() <= self.givens.keys()
+        return 0 not in self._digits
 
     def __str__(self) -> str:
         return render(self)
@@ -151,11 +210,12 @@ def parse_grid(text: str) -> SudokuGrid:
     """Read a grid from 81 significant characters; ``.`` and ``0`` are blanks.
 
     Layout is ignored (see :func:`grid_cells`), so one-line and 9x9 layouts
-    parse, and so does the output of :func:`render`.  Each blank gets its
-    markup, as in :func:`compute_markups`.  A wrong length, a stray character
-    or a duplicated given within a unit (the first in unit order) raises
-    :class:`GridError` naming the offending cell; else a blank left with no
-    digit raises :class:`Contradiction` naming the first in slot order.
+    parse, and so does the output of :func:`render`.  The result is
+    ``SudokuGrid(givens)``, so each blank has its markup.  A wrong length, a
+    stray character or a duplicated given within a unit (the first in unit
+    order) raises :class:`GridError` naming the offending cell; else a blank
+    left with no digit raises :class:`Contradiction` naming the first in
+    slot order.
     """
     chars = grid_cells(text)
     if len(chars) != 81:
@@ -165,7 +225,7 @@ def parse_grid(text: str) -> SudokuGrid:
             raise GridError(f"bad character {ch!r} at cell {ALL_CELLS[i]}")
     givens = {ALL_CELLS[i]: int(ch) for i, ch in enumerate(chars) if ch not in ".0"}
     try:
-        return compute_markups(SudokuGrid(givens))
+        return SudokuGrid(givens)
     except Contradiction:  # every repeated given lands here, as a clash
         for unit in ALL_UNITS:
             digits = [givens.get(cell) for cell in unit.cells]
@@ -178,19 +238,18 @@ def parse_grid(text: str) -> SudokuGrid:
 
 def compute_markups(grid: SudokuGrid) -> SudokuGrid:
     """The grid's givens, each other cell with the digits given in none of its units."""
-    return _grid(*_slots(SudokuGrid(grid.givens)))
+    return SudokuGrid(grid.givens)
 
 
 def unit_mapping(grid: SudokuGrid, unit: Unit) -> FiniteMapping:
     """The unit's open cells mapped to their candidate digits.
 
-    The grid enters as in :func:`propagate`: a cell listed nowhere has its
-    markup, and the givens are struck from every open cell.  The codomain is
-    their digits, which :meth:`.FiniteMapping.from_dict` sorts.  Public as
-    the paper's view of one unit, for callers and demos; the solver runs on
-    bitsets and never builds it.
+    The candidates are the grid's own, as :func:`propagate` reads them.  The
+    codomain is their digits, which :meth:`.FiniteMapping.from_dict` sorts.
+    Public as the paper's view of one unit, for callers and demos; the
+    solver runs on bitsets and never builds it.
     """
-    masks = _slots(grid)[1]
+    masks = grid._masks
     images = {c: bit_indices(m) for c in unit.cells if (m := masks[_SLOT_OF[c]])}
     if not images:
         raise DomainError(f"{unit} has no unpopulated cells")
@@ -208,77 +267,28 @@ def propagate(grid: SudokuGrid, *, max_sweeps: int | None = None) -> SudokuGrid:
     masks whose kernel changes nothing (one block) are marked for the call,
     so that a repeat visit ends at a lookup; no kernel is cached.  Raises
     :class:`Contradiction` when a unit admits no alldifferent assignment or a
-    candidate set runs empty; the input grid is never mutated.  ``max_sweeps``
-    caps the sweeps: ``None`` or an ``int`` of at least 0, else
-    :class:`ValueError`.
+    candidate set runs empty; the grid was checked when it was built.
+    ``max_sweeps`` caps the sweeps: ``None`` or an ``int`` of at least 0,
+    else :class:`ValueError`.
     """
     if max_sweeps is not None and not (type(max_sweeps) is int and max_sweeps >= 0):
         raise ValueError(f"max_sweeps must be None or an int >= 0, not {max_sweeps!r}")
-    givens, masks = _slots(grid)
+    givens, masks = list(grid._digits), list(grid._masks)
     _propagate_masks(givens, masks, set(), max_sweeps)
     return _grid(givens, masks)
 
 
-def _slots(grid: SudokuGrid) -> tuple[list[int], list[int]]:
-    # Every grid's one way into the engine: its givens and candidate masks as
-    # 81-slot lists.  A cell listed nowhere is open with all nine digits, and
-    # the givens are struck from the open slots, in slot order, through the
-    # units' masks of given digits.  A cell off the grid, a given not an int in
-    # 1..9, a candidate not in 1..9 or a cell with both a given and candidates
-    # is a GridError; two neighbouring givens with one digit, or an open cell
-    # left with no digit, contradict.  Each given is checked for its digit,
-    # then for candidates, then for a clash, before the next, and all before
-    # any strike; a clash names the first neighbour in slot order.
-    for cell in (*grid.candidates, *grid.givens):
-        if cell not in _SLOT_OF:
-            raise GridError(f"cell {cell!r} is not on the grid")
-    givens = [0] * 81
-    masks = [_DIGIT_BITS] * 81
-    for cell, digits in grid.candidates.items():
-        try:  # 5.0 is in DIGITS but cannot shift, and fails as a non-digit does
-            if not DIGITS.issuperset(digits):
-                raise TypeError
-            masks[_SLOT_OF[cell]] = sum({1 << d for d in digits})
-        except TypeError:
-            raise GridError(f"cell {cell} has candidates outside 1..9: {digits!r}") from None
-    used = [0] * len(ALL_UNITS)  # each unit's mask of given digits
-    for cell, digit in grid.givens.items():
-        _check_given(cell, digit)
-        if cell in grid.candidates:
-            raise GridError(f"cell {cell} has both a given and candidates")
-        i = _SLOT_OF[cell]
-        bit = 1 << digit
-        row, column, block = _SLOT_UNITS[i]
-        if (used[row] | used[column] | used[block]) & bit:
-            j = next(j for j in _NEIGHBOR_SLOTS[i] if givens[j] == digit)
-            raise Contradiction(f"cells {ALL_CELLS[j]} and {cell} both hold {digit}",
-                                cells=(ALL_CELLS[j], cell))
-        givens[i] = digit
-        masks[i] = 0
-        used[row] |= bit
-        used[column] |= bit
-        used[block] |= bit
-    for i, digit in enumerate(givens):
-        if not digit:
-            row, column, block = _SLOT_UNITS[i]
-            masks[i] &= ~(used[row] | used[column] | used[block])
-            if not masks[i]:
-                raise Contradiction(f"cell {ALL_CELLS[i]} has no admissible digit",
-                                    cells=(ALL_CELLS[i],))
-    return givens, masks
-
-
-def _check_given(cell: Cell, digit) -> None:
-    # The one check of a given's digit, for _slots and grid_line.
-    if type(digit) is not int or digit not in DIGITS:
-        raise GridError(f"cell {cell} has given {digit!r}, not a digit 1..9")
-
-
-def _grid(givens: list, masks) -> SudokuGrid:
-    # The inverse of _slots: a grid with labelled givens and sets of digits.
-    return SudokuGrid(
-        {ALL_CELLS[i]: d for i, d in enumerate(givens) if d},
-        {ALL_CELLS[i]: set(bit_indices(m)) for i, m in enumerate(masks) if m})
+def _grid(digits: list, masks) -> SudokuGrid:
+    # A grid of slots that keep every rule SudokuGrid() checks, so unchecked:
+    # the slots as tuples, the givens labelled once for per-cell reads, and
+    # the candidates left to be labelled at their first read.
+    grid = object.__new__(SudokuGrid)
+    object.__setattr__(grid, "_digits", tuple(digits))
+    object.__setattr__(grid, "_masks", tuple(masks))
+    object.__setattr__(grid, "givens", MappingProxyType(
+        {ALL_CELLS[i]: d for i, d in enumerate(digits) if d}))
+    object.__setattr__(grid, "_candidates", None)
+    return grid
 
 
 def _propagate_masks(givens: list, masks: list, memo: set,
@@ -370,14 +380,10 @@ def solve(grid: SudokuGrid) -> SudokuGrid | None:
     runs on cell slots and builds the solution grid once, at the end.  The
     tuples of masks whose kernel changes nothing are marked for the duration
     of one call, at most ``KERNEL_MEMO_CAP`` of them at a time, and every
-    other kernel is computed at its visit.  A hand-built grid that is not a
-    grid of digits 1..9 raises :class:`GridError`, as in :func:`propagate`.
+    other kernel is computed at its visit.
     """
-    try:
-        givens = _solve_masks(*_slots(grid), set())
-    except Contradiction:  # from _slots: clashing givens or a cell left empty
-        return None
-    return None if givens is None else _grid(givens, ())
+    givens = _solve_masks(list(grid._digits), list(grid._masks), set())
+    return None if givens is None else _grid(givens, (0,) * 81)
 
 
 def _solve_masks(givens: list, masks: list, memo: set,
@@ -423,8 +429,8 @@ def _solve_masks(givens: list, masks: list, memo: set,
 
 def is_solved(grid: SudokuGrid) -> bool:
     """Complete, with every unit holding exactly the digits 1..9."""
-    return grid.is_complete and all(
-        {grid.givens.get(c) for c in unit.cells} == DIGITS for unit in ALL_UNITS)
+    digits = grid._digits
+    return all({digits[i] for i in slots} == DIGITS for slots in _UNIT_SLOTS)
 
 
 def render(grid: SudokuGrid) -> str:
@@ -436,11 +442,5 @@ def render(grid: SudokuGrid) -> str:
 
 
 def grid_line(grid: SudokuGrid) -> str:
-    """The 81-character single-line form; unpopulated cells print ``.``.
-
-    A given that is not an int in 1..9 raises :class:`GridError`, as in
-    :func:`propagate`; :func:`render` and ``str(grid)`` print this line.
-    """
-    for cell, digit in grid.givens.items():
-        _check_given(cell, digit)
-    return "".join(str(grid.givens.get(cell, ".")) for cell in ALL_CELLS)
+    """The 81-character single-line form; unpopulated cells print ``.``."""
+    return "".join([".123456789"[d] for d in grid._digits])

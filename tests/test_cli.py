@@ -573,21 +573,30 @@ def test_mapping_commands_match_recorded_transcript(capsys, monkeypatch):
 
 
 #: Runs its argument vectors (JSON) through ``main`` after printing the
-#: codomain and least selection of a mapping whose labels do not sort together.
+#: codomain and least selection of a mapping whose labels do not sort together,
+#: then the codomains of two with ``frozenset`` labels, each label as its
+#: sorted members: ``sorted`` takes the first two for ordered, since no
+#: comparison of them is true, and cannot sort the second.
 _SEED_SCRIPT = """\
 import json, sys
 from hallkernel import FiniteMapping, extract_selection
 from hallkernel.cli import main
 f = FiniteMapping.from_dict({'p': {'a', 'b', 1}, 'q': {'a', 'b', 1}})
 print(f.y_labels, extract_selection(f).as_dict())
+for labels in ({frozenset({'a', 'b'}), frozenset({'a', 'c'})},
+               {frozenset({'a', 'b'}), frozenset({'a', 'c'}), 1}):
+    print([sorted(y) if isinstance(y, frozenset) else y
+           for y in FiniteMapping.from_dict({'p': labels}).y_labels])
 for argv in json.loads(sys.argv[1]):
     print(main(argv))
 """
 
 
 def test_same_input_gives_the_same_output_under_every_hash_seed(tmp_path):
-    # Set order follows PYTHONHASHSEED, and seeds 1 and 2 order {'a', 'b', 1}
-    # differently, so no output may follow set order.
+    # Set order follows PYTHONHASHSEED: seeds 1 and 2 order {'a', 'b', 1} and
+    # the first frozenset codomain differently, and seed 7 swapped the two
+    # frozenset labels of the second when they were ordered by repr, so no
+    # output may follow set order.
     from test_sudoku import pigeonhole_text
     argvs = []
     for k, text in enumerate(_mapping_documents()[::97]):
@@ -608,6 +617,8 @@ def test_same_input_gives_the_same_output_under_every_hash_seed(tmp_path):
 
     first = run_with_seed("1")
     assert first[0] == 0
-    assert first[1].startswith("(1, 'a', 'b') {'p': 1, 'q': 'a'}\n")
+    assert first[1].startswith("(1, 'a', 'b') {'p': 1, 'q': 'a'}\n"
+                               "[['a', 'b'], ['a', 'c']]\n[['a', 'b'], ['a', 'c'], 1]\n")
     assert first[1].count("\n") > len(argvs)
     assert run_with_seed("2") == first
+    assert run_with_seed("7") == first

@@ -33,6 +33,13 @@ class TestConstruction:
         # A set's own order follows the hash seed; see test_cli for two seeds.
         f = FiniteMapping.from_dict({"p": ["b", 2], "q": {"a", 3, "c"}, "r": frozenset({1})})
         assert f.y_labels == ("b", 2, 3, "a", "c", 1)
+        # ``<`` on sets is the subset test, so ``sorted`` leaves two sets that
+        # neither holds in the order it got them: set labels go by their
+        # members, and a chain of subsets is sorted.
+        ab, ac, a = frozenset({"a", "b"}), frozenset({"a", "c"}), frozenset({"a"})
+        assert FiniteMapping.from_dict({"p": {ac, ab}}).y_labels == (ab, ac)
+        assert FiniteMapping.from_dict({"p": {ac, ab, 1}}).y_labels == (ab, ac, 1)
+        assert FiniteMapping.from_dict({"p": [ab, a]}).y_labels == (a, ab)
 
     def test_explicit_y_order(self):
         f = FiniteMapping.from_dict({1: {2}}, y_order=(3, 2, 1))

@@ -128,3 +128,18 @@ def test_every_line_linecov_allows_is_still_there():
     # that no longer matches, or matches twice, would allow nothing or too much.
     assert [(file, snippet) for file, snippet, _ in ALLOWED
             if (PACKAGE / file).read_text(encoding="utf-8").count(snippet) != 1] == []
+
+
+def test_only_the_sudoku_module_names_a_grids_slot_fields():
+    # How a grid lays out its cells is the sudoku module's decision; every
+    # other module and the demos read a grid through its public names.
+    from hallkernel.sudoku import SudokuGrid
+    private = {name for name in SudokuGrid.__slots__ if name.startswith("_")}
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    sources = [(name, node) for name, node in package_nodes() if name != "sudoku.py"]
+    sources += [(path.name, node) for path in sorted(demos.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+    assert private and demos.is_dir()
+    assert [f"{name}:{node.lineno}" for name, node in sources
+            if getattr(node, "attr", None) in private
+            or isinstance(node, ast.Constant) and node.value in private] == []
