@@ -16,10 +16,6 @@ from .mappings import (
     InvalidMappingError,
     SizeCapError,
     complement,
-    image_of_set,
-    is_critical,
-    is_non_reducible,
-    residual,
 )
 from .partition import (
     ExitKind,
@@ -27,11 +23,8 @@ from .partition import (
     HallViolation,
     check_hall,
     compute_hall_partition,
-    partitions_equal_up_to_renumbering,
-    verify_partition,
 )
 from .kernel import (
-    InvalidPartitionError,
     KernelMapping,
     Selection,
     alldifferent_kernel,
@@ -39,16 +32,15 @@ from .kernel import (
     has_unique_selection,
     is_alldifferent,
     iter_selections,
-    kernel_from_partition,
     punctured_mapping,
 )
 
 
 def __getattr__(name):
-    # The oracle is loaded on first use of one of its names (PEP 562), so
-    # that importing the package, the CLI included, does not load it.
-    if name in ("SUBSET_SCAN_CAP", "enumerate_selections", "oracle_hall_check",
-                "oracle_kernel"):
+    # The exported names not imported above are the oracle's, which is loaded
+    # on first use of one of them (PEP 562), so that importing the package,
+    # the CLI included, does not load it.
+    if name in __all__:
         from . import oracle
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,24 +13,14 @@ one block is the images themselves, handed back as the same read-only object.
 :func:`iter_selections` walks the images' complete matchings, which are the
 selections, with no scan.  Labels appear only in the public results.  No size
 is refused here: only a violation's witness can need the scan's capped walk.
+:func:`.oracle.kernel_from_partition` reads the kernel off a checked partition.
 """
 
 from __future__ import annotations
 
 from .mappings import DomainError, FiniteMapping, Label, complement, _position, _Record
-from .partition import (
-    HallPartition,
-    HallViolation,
-    augment,
-    complete_matching,
-    hall_scan,
-    verify_partition,
-)
+from .partition import HallViolation, augment, complete_matching, hall_scan
 from .partition import compute_hall_partition  # wrapped by perfbench/run.py's TRACED
-
-
-class InvalidPartitionError(ValueError):
-    """A partition handed in for kernel extraction failed validation."""
 
 
 class Selection(_Record):
@@ -104,21 +94,6 @@ def kernel_bits(image_bits) -> list[int] | int:
             kernel[low.bit_length() - 1] &= rbits
             wbits ^= low
     return kernel
-
-
-def kernel_from_partition(mapping: FiniteMapping,
-                          partition: HallPartition) -> KernelMapping:
-    """Read the kernel off a Hall partition of the mapping.
-
-    The partition is validated first; an invalid one is a contract violation,
-    not a degenerate kernel.
-    """
-    if not verify_partition(mapping, partition):
-        raise InvalidPartitionError("not a Hall partition of this mapping")
-    images = {x: mapping.image(x) & residual
-              for block, residual in zip(partition.blocks, partition.residual_images)
-              for x in block}
-    return KernelMapping(mapping, tuple([images[x] for x in mapping.x_labels]))
 
 
 def alldifferent_kernel(mapping: FiniteMapping) -> KernelMapping:

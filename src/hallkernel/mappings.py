@@ -2,11 +2,11 @@
 
 The central value is :class:`FiniteMapping`: an assignment of a subset of a
 finite codomain ``Y`` to every element of a finite domain ``X``.  This module
-provides the small calculus everything else builds on: images of domain
-subsets, complement mappings (drop part of the domain, strike a set of values
-from every image), residual mappings, and two structural predicates --
-*critical* sets, whose image is exactly as large as the set itself, and
-*non-reducible* sets, which contain no proper critical subset.
+holds that data type, its label/bitset conversions, :func:`complement` (drop
+part of the domain, strike a set of values from every image), the size caps
+and the errors.  The paper's definitions built on it -- images of domain
+subsets, residual mappings, critical and non-reducible sets -- live with the
+brute-force references in :mod:`.oracle`.
 
 Labels are opaque; internally every image is a bitset over codomain
 positions, so subset enumeration, unions and disjointness checks stay cheap.
@@ -16,7 +16,6 @@ All values are immutable and safe to share between threads.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
-from itertools import combinations
 
 Label = Hashable
 
@@ -59,9 +58,12 @@ def bit_indices(bits: int):
 
 def _label_key(label) -> tuple:
     # Its type's name, then a set's members by their own keys, sorted, since
-    # a set's iteration order follows the hash seed; any other label's repr.
+    # a set's iteration order follows the hash seed; a tuple's members by
+    # their keys, in order; any other label's repr.
     if isinstance(label, (set, frozenset)):
         return type(label).__qualname__, sorted([_label_key(y) for y in label])
+    if isinstance(label, tuple):
+        return type(label).__qualname__, [_label_key(y) for y in label]
     return type(label).__qualname__, repr(label)
 
 
@@ -204,13 +206,6 @@ class FiniteMapping(_Record):
     def y_labels_of(self, bits: int) -> tuple:
         return tuple([self.y_labels[j] for j in bit_indices(bits)])
 
-    def image_bits_of(self, w_bits: int) -> int:
-        """Union of the images over the members of a domain bitset."""
-        img = 0
-        for i in bit_indices(w_bits):
-            img |= self.image_bits[i]
-        return img
-
     # -- label-level accessors -------------------------------------------
 
     def image(self, x: Label) -> frozenset:
@@ -250,15 +245,6 @@ def _bits(labels: tuple, members: Iterable[Label], ground: str) -> int:
     return bits
 
 
-def image_of_set(mapping: FiniteMapping, members: Iterable[Label]) -> frozenset:
-    """The image of a subset of the domain: the union of its members' images.
-
-    The empty subset has the empty image.
-    """
-    bits = mapping.x_bits(members)
-    return frozenset(mapping.y_labels_of(mapping.image_bits_of(bits)))
-
-
 def complement(mapping: FiniteMapping, drop_x: Iterable[Label],
                drop_y: Iterable[Label]) -> FiniteMapping:
     """Drop ``drop_x`` from the domain and strike ``drop_y`` from every image.
@@ -276,43 +262,3 @@ def complement(mapping: FiniteMapping, drop_x: Iterable[Label],
               if not (w >> i) & 1}
     y_labels = [y for j, y in enumerate(mapping.y_labels) if not (z >> j) & 1]
     return FiniteMapping(images, y_labels, images)
-
-
-def residual(mapping: FiniteMapping, members: Iterable[Label]) -> FiniteMapping:
-    """Restrict away a subset of the domain together with everything it can map to.
-
-    Equivalent to ``complement(mapping, W, image_of_set(mapping, W))``; the
-    images that remain are the values only the rest of the domain can take.
-    """
-    members = tuple(members)
-    return complement(mapping, members, image_of_set(mapping, members))
-
-
-def is_critical(mapping: FiniteMapping, members: Iterable[Label]) -> bool:
-    """Whether a nonempty subset has an image of exactly its own size."""
-    bits = mapping.x_bits(members)
-    if bits == 0:
-        return False
-    return mapping.image_bits_of(bits).bit_count() == bits.bit_count()
-
-
-def is_non_reducible(mapping: FiniteMapping, members: Iterable[Label]) -> bool:
-    """Whether a nonempty subset contains no proper nonempty critical subset.
-
-    Decided by exhaustive enumeration of all proper subsets; this is the
-    reference semantics used for validation, not a fast path.  Subsets of
-    sets larger than ``ENUMERATION_CAP`` are refused.
-    """
-    bits = mapping.x_bits(members)
-    if bits == 0:
-        return False
-    indices = list(bit_indices(bits))
-    check_size_cap("non-reducibility check", len(indices), ENUMERATION_CAP)
-    for size in range(1, len(indices)):
-        for combo in combinations(indices, size):
-            img = 0
-            for i in combo:
-                img |= mapping.image_bits[i]
-            if img.bit_count() == size:
-                return False
-    return True

@@ -5,7 +5,8 @@ each ``W_i`` is a non-reducible set of the mapping left over after removing
 the earlier blocks and everything they can map to, and every block except
 possibly the last is critical there.  Such a decomposition exists exactly
 when the mapping satisfies the Hall condition (every subset's image is at
-least as large as the subset), and it is unique up to renumbering.
+least as large as the subset), and it is unique up to renumbering.  Those
+definitions, and the check of a partition by them, live in :mod:`.oracle`.
 
 :func:`hall_scan` finds the partition one block per step: the (size,
 lex)-first subset of what remains whose residual image is no larger than
@@ -39,16 +40,7 @@ from __future__ import annotations
 
 import enum
 
-from .mappings import (
-    ENUMERATION_CAP,
-    FiniteMapping,
-    check_size_cap,
-    image_of_set,
-    is_critical,
-    is_non_reducible,
-    residual,
-    _Record,
-)
+from .mappings import ENUMERATION_CAP, FiniteMapping, check_size_cap, _Record
 
 #: Steps over more positions than this are finished by
 #: :func:`_matching_completion` once the size-1 pass has no hit.  It is the
@@ -426,52 +418,3 @@ def check_hall(mapping: FiniteMapping) -> HallViolation | None:
     if isinstance(result, int):
         return HallViolation(frozenset(mapping.x_labels_of(result)))
     return None
-
-
-def verify_partition(mapping: FiniteMapping, partition: HallPartition) -> bool:
-    """Independently re-check that a value really is the Hall partition.
-
-    Re-derives everything from the defining clauses using the core
-    operations only (including the exhaustive non-reducibility check): the
-    blocks must partition the domain, each block must have nonempty images
-    and be non-reducible in the chained residual mapping, every block but the
-    last must be critical there, and the stored residual images must agree
-    with recomputation; the exit kind follows from the last of them.
-    Anything other than a :class:`HallPartition`, a :class:`HallViolation`
-    included, is rejected.  Shares no code with :func:`compute_hall_partition`.
-    """
-    if not isinstance(partition, HallPartition):
-        return False
-    blocks = partition.blocks
-    if (len(blocks) != len(partition.residual_images) or not all(blocks)
-            or sum(map(len, blocks)) != len(mapping.x_labels)
-            or set().union(*blocks) != set(mapping.x_labels)):
-        return False
-    current = mapping
-    for i, block in enumerate(blocks):
-        if (partition.residual_images[i] != image_of_set(current, block)
-                or any(not current.image(x) for x in block)
-                or not is_non_reducible(current, block)):
-            return False
-        if i < len(blocks) - 1:
-            if not is_critical(current, block):
-                return False
-            current = residual(current, block)
-    return True
-
-
-def partitions_equal_up_to_renumbering(first: HallPartition,
-                                       second: HallPartition) -> bool:
-    """Whether two partitions have the same blocks as unordered families.
-
-    Block order is a free choice of the scan, so equality ignores it; the
-    residual image attached to each block must match as well (it is forced by
-    the block family, so this doubles as a consistency check).  Unless both
-    are :class:`HallPartition` values, a violation say, the answer is ``False``.
-    """
-    if not (isinstance(first, HallPartition) and isinstance(second, HallPartition)
-            and len(first.blocks) == len(second.blocks)):
-        return False
-    pairing_first = dict(zip(first.blocks, first.residual_images))
-    pairing_second = dict(zip(second.blocks, second.residual_images))
-    return pairing_first == pairing_second

@@ -40,6 +40,9 @@ class TestConstruction:
         assert FiniteMapping.from_dict({"p": {ac, ab}}).y_labels == (ab, ac)
         assert FiniteMapping.from_dict({"p": {ac, ab, 1}}).y_labels == (ab, ac, 1)
         assert FiniteMapping.from_dict({"p": [ab, a]}).y_labels == (a, ab)
+        # A tuple label goes by its members' keys, in order, not by its repr,
+        # which shows a set member in hash-seed order.
+        assert FiniteMapping.from_dict({"p": {(ac,), (ab,), 1}}).y_labels == (1, (ab,), (ac,))
 
     def test_explicit_y_order(self):
         f = FiniteMapping.from_dict({1: {2}}, y_order=(3, 2, 1))

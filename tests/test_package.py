@@ -12,10 +12,19 @@ def test_every_exported_name_resolves():
     assert [name for name in hallkernel.__all__ if not hasattr(hallkernel, name)] == []
 
 
+#: The paper's definitions and the exhaustive checks built on them, which
+#: live in the oracle alone.
+DEFINITIONS = ("image_of_set", "residual", "is_critical", "is_non_reducible",
+               "verify_partition", "partitions_equal_up_to_renumbering",
+               "kernel_from_partition", "InvalidPartitionError")
+
+
 def test_oracle_names_resolve_from_the_oracle_alone():
     # The package loads the oracle on first use of one of its exported names.
     from hallkernel import oracle
     assert hallkernel.enumerate_selections is oracle.enumerate_selections
+    assert [name for name in DEFINITIONS
+            if getattr(hallkernel, name) is not getattr(oracle, name)] == []
     assert not hasattr(hallkernel, "oracle_hall_scan")
 
 
@@ -70,12 +79,25 @@ def package_imports(filename):
 
 def test_oracle_shares_nothing_with_the_scan():
     # The oracle is the independent reference: from ``partition`` it takes the
-    # violation type only, and it uses no package module's private helpers.
+    # two result records only, and it uses no package module's private helpers.
     imported = package_imports("oracle.py")
     assert imported, "oracle.py imports nothing from the package"
     assert {name for module, name in imported if module == "partition"} <= {
-        "HallViolation"}
+        "HallViolation", "HallPartition"}
     assert [name for _, name in imported if name.startswith("_")] == []
+
+
+def test_only_the_oracle_enumerates_by_definition():
+    # Exhaustive enumeration by definition is the oracle's alone: no other
+    # module imports from itertools or defines one of the definitions.
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if name != "oracle.py" and (
+                 isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                 or isinstance(node, ast.Import)
+                 and any(a.name == "itertools" for a in node.names)
+                 or isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name in DEFINITIONS)]
+    assert found == []
 
 
 def test_cli_runs_no_oracle_code():
