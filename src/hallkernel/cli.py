@@ -11,11 +11,11 @@ with the worst code over its lines.
 
 Every subcommand returns ``(exit code, JSON payload, text lines)``; only
 :func:`main` chooses between the two output formats.  Payload and lines may be
-lazy, and :func:`main` reads only the one it prints.  A process imports only
-what its subcommand runs: :mod:`hallkernel.sudoku` is loaded by the sudoku
-handlers alone, which report a bad grid as a :class:`DocumentError`,
-:mod:`json` by ``--format json`` alone, and :mod:`hallkernel.oracle`, the
-tests' reference, by none.
+lazy, a lazy payload being the pieces of its JSON text, and :func:`main` reads
+only the one it prints.  A process imports only what its subcommand runs:
+:mod:`hallkernel.sudoku` is loaded by the sudoku handlers alone, which report
+a bad grid as a :class:`DocumentError`, :mod:`json` by ``--format json``
+alone, and :mod:`hallkernel.oracle`, the tests' reference, by none.
 
 Mapping document format: ``#`` starts a comment; optional ``X:`` / ``Y:``
 header lines list whitespace-separated element tokens; every body line is
@@ -199,9 +199,18 @@ def _cmd_select(mapping: FiniteMapping):
 def _cmd_enumerate(mapping: FiniteMapping):
     # The output can grow as n!, so each rendering is a lazy walk of its own.
     check_size_cap("selection enumeration", len(mapping.x_labels), SELECTION_CAP)
-    return (0, {"selections": ({str(x): str(y) for x, y in s.items()}
-                               for s in iter_selections(mapping))},
+    return (0, _json_selections(mapping),
             (" ".join(f"{x}->{y}" for x, y in s.items()) for s in iter_selections(mapping)))
+
+
+def _json_selections(mapping: FiniteMapping):
+    # What print(json.dumps({"selections": [...]})) writes, a selection at a time.
+    from json import JSONEncoder
+    encode = JSONEncoder().encode
+    yield '{"selections": ['
+    for k, s in enumerate(iter_selections(mapping)):
+        yield (", " if k else "") + encode({str(x): str(y) for x, y in s.items()})
+    yield "]}\n"
 
 
 # -- sudoku subcommands ------------------------------------------------------
@@ -314,11 +323,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SizeCapError) else 2
     try:
-        if args.format == "json":
-            import json
-            print(json.dumps(payload, default=list))  # a payload's lazy list is a generator
-        else:
+        if args.format != "json":
             sys.stdout.writelines(line + "\n" for line in lines)
+        elif isinstance(payload, (dict, list)):
+            import json
+            print(json.dumps(payload))
+        else:
+            sys.stdout.writelines(payload)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left early, as ``| head`` does
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -152,39 +152,36 @@ class FiniteMapping(_Record):
         object.__setattr__(self, "image_bits", tuple(bits))
 
     @classmethod
-    def from_dict(cls, images: Mapping[Label, Iterable[Label]], *,
-                  y_order: Iterable[Label] | None = None) -> "FiniteMapping":
-        """Build a mapping from ``{x: iterable of y}``.
+    def from_dict(cls, images: Mapping[Label, Iterable[Label]]) -> "FiniteMapping":
+        """Build a mapping from ``{x: iterable of y}``, inferring the codomain.
 
         The domain order is the insertion order of ``images``.  The codomain
-        is ``y_order`` when given; otherwise it is inferred as the union of
-        the images, sorted when ``sorted`` puts the labels in strictly
-        increasing order and in first-appearance order otherwise, where a
-        ``set`` or ``frozenset`` image, whose own order follows the hash
-        seed, gives its members by type name, then a set label by its
-        members in this order and any other label by its ``repr``.
+        is the union of the images, sorted when ``sorted`` puts the labels in
+        strictly increasing order and in first-appearance order otherwise,
+        where a ``set`` or ``frozenset`` image, whose own order follows the
+        hash seed, gives its members by type name, then a set label by its
+        members in this order and any other label by its ``repr``.  For a
+        codomain of one's own, call the constructor:
+        ``FiniteMapping(images, y_labels, images)``.
         """
         materialized = {x: tuple(members) for x, members in images.items()}
         x_labels = tuple(materialized)
-        if y_order is not None:
-            y_labels = tuple(y_order)
-        else:
-            seen: dict[Label, None] = {}
-            for x in x_labels:
-                for y in materialized[x]:
-                    seen.setdefault(y)
-            try:
-                y_labels = tuple(sorted(seen))
-                if not all([a < b for a, b in zip(y_labels, y_labels[1:])]):
-                    raise TypeError  # a partial order, as the subset test of sets
-            except TypeError:
-                seen.clear()
-                for x, members in images.items():
-                    ordered = materialized[x]
-                    if isinstance(members, (set, frozenset)):
-                        ordered = sorted(ordered, key=_label_key)
-                    seen.update(dict.fromkeys(ordered))
-                y_labels = tuple(seen)
+        seen: dict[Label, None] = {}
+        for x in x_labels:
+            for y in materialized[x]:
+                seen.setdefault(y)
+        try:
+            y_labels = tuple(sorted(seen))
+            if not all([a < b for a, b in zip(y_labels, y_labels[1:])]):
+                raise TypeError  # a partial order, as the subset test of sets
+        except TypeError:
+            seen.clear()
+            for x, members in images.items():
+                ordered = materialized[x]
+                if isinstance(members, (set, frozenset)):
+                    ordered = sorted(ordered, key=_label_key)
+                seen.update(dict.fromkeys(ordered))
+            y_labels = tuple(seen)
         return cls(x_labels, y_labels, materialized)
 
     # -- label / bitset conversions -------------------------------------

@@ -13,17 +13,16 @@ digit and a 9-bit candidate mask (bit ``d`` for digit ``d``) per slot in two
 81-int lists, 0 meaning none, and ``(row, column)`` labels and sets of digits
 exist only at the public boundary.  A :class:`SudokuGrid` is checked when it
 is built and holds those two lists as tuples: a cell listed nowhere is open
-with all nine digits, and the givens are struck from every open cell through
-the 27 units' masks of given digits.  The engine copies a grid's tuples and
-builds its results from its lists, unchecked.  Propagation keeps the units
-still to visit as a 27-bit mask and walks only those, in sweep order (rows,
-columns, blocks).  A unit whose kernel is its tuple of masks itself (one
-block of two or more cells) changes nothing; :func:`solve` and
-:func:`propagate` mark such tuples for one call, up to ``KERNEL_MEMO_CAP``
-of them, so that a repeat visit ends at the lookup.  No kernel is cached:
-every elimination and every contradiction comes from the visit that applies
-it.  A search branch promotes its digit itself and re-propagates from the
-units that promotion changed.
+with all nine digits, and each given's digit leaves its 20 neighbours, as a
+promoted digit does.  The engine copies a grid's tuples and builds its
+results from its lists, unchecked.  Propagation keeps the units still to
+visit as a 27-bit mask and walks only those, in sweep order (rows, columns,
+blocks).  A unit whose kernel is its tuple of masks itself (one block of two
+or more cells) changes nothing; :func:`solve` and :func:`propagate` mark such
+tuples for one call, up to ``KERNEL_MEMO_CAP`` of them, so that a repeat
+visit ends at the lookup.  No kernel is cached: every elimination and every
+contradiction comes from the visit that applies it.  A search branch promotes
+its digit itself and re-propagates from the units that promotion changed.
 """
 
 from __future__ import annotations
@@ -96,22 +95,19 @@ _UNIT_SLOTS = tuple([tuple([_SLOT_OF[cell] for cell in unit.cells]) for unit in 
 
 def _build_tables():
     # One pass over the units: per slot, its units as bits (bit ``u`` for
-    # ``ALL_UNITS[u]``), its row, column and block as unit indices, and the
-    # 20 other slots sharing a unit with it.
+    # ``ALL_UNITS[u]``) and the 20 other slots sharing a unit with it.
     unit_bits = [0] * 81
-    units = [[] for _ in range(81)]
     seen = [0] * 81
     for u, slots in enumerate(_UNIT_SLOTS):
         members = sum(1 << i for i in slots)
         for i in slots:
             unit_bits[i] |= 1 << u
-            units[i].append(u)
             seen[i] |= members
-    return tuple(unit_bits), tuple([tuple(u) for u in units]), tuple(
+    return tuple(unit_bits), tuple(
         [tuple([j for j in bit_indices(s & ~(1 << i))]) for i, s in enumerate(seen)])
 
 
-_UNIT_BITS, _SLOT_UNITS, _NEIGHBOR_SLOTS = _build_tables()
+_UNIT_BITS, _NEIGHBOR_SLOTS = _build_tables()
 _ALL_UNIT_BITS = (1 << len(ALL_UNITS)) - 1
 
 
@@ -119,17 +115,18 @@ class SudokuGrid(_Record):
     """Givens plus the candidate digits of unpopulated cells, checked once.
 
     A cell that is neither a given nor a key of ``candidates`` is unpopulated
-    with all nine digits, and the givens are struck from every unpopulated
-    cell, so a grid of givens alone stands for its markups.  Building a grid
-    is its only check.  A cell off the grid, a given not an ``int`` in 1..9,
-    a candidate not in 1..9 or a cell with both a given and candidates is a
-    :class:`GridError`; two givens of one digit in a unit, or an unpopulated
-    cell left with no digit, a :class:`Contradiction`.  Each given is checked
-    for its digit, then for candidates, then for a clash, before the next,
-    and all before any strike; a clash names the first neighbour in slot
-    order.  A grid is immutable, hashable and equal to a grid with the same
-    cells.  ``givens`` and ``candidates`` are read-only mappings in row-major
-    order; ``candidates`` holds a ``frozenset`` for every unpopulated cell.
+    with all nine digits, and each given's digit leaves its 20 neighbours, so
+    a grid of givens alone stands for its markups.  Building a grid is its
+    only check.  A cell off the grid, a given not an ``int`` in 1..9, a
+    candidate not in 1..9, a cell with both a given and candidates or a
+    repeated given is a :class:`GridError`; an unpopulated cell left with no
+    digit, a :class:`Contradiction` naming the first in slot order.  Each
+    given is checked for its digit, then for candidates, then for a repeat,
+    before the next; a repeat is named as :func:`parse_grid` names it, the
+    first in unit order over all the givens.  A grid is immutable, hashable
+    and equal to a grid with the same cells.  ``givens`` and ``candidates``
+    are read-only mappings in row-major order; ``candidates`` holds a
+    ``frozenset`` for every unpopulated cell.
     """
 
     __slots__ = ("_digits", "_masks", "givens", "_candidates")
@@ -150,7 +147,7 @@ class SudokuGrid(_Record):
                 masks[_SLOT_OF[cell]] = sum({1 << d for d in listed})
             except TypeError:
                 raise GridError(f"cell {cell} has candidates outside 1..9: {listed!r}") from None
-        used = [0] * len(ALL_UNITS)  # each unit's mask of given digits
+        struck = [0] * 81  # each slot's mask of the digits given among its neighbours
         for cell, digit in givens.items():
             if type(digit) is not int or digit not in DIGITS:
                 raise GridError(f"cell {cell} has given {digit!r}, not a digit 1..9")
@@ -158,20 +155,15 @@ class SudokuGrid(_Record):
                 raise GridError(f"cell {cell} has both a given and candidates")
             i = _SLOT_OF[cell]
             bit = 1 << digit
-            row, column, block = _SLOT_UNITS[i]
-            if (used[row] | used[column] | used[block]) & bit:
-                j = next(j for j in _NEIGHBOR_SLOTS[i] if digits[j] == digit)
-                raise Contradiction(f"cells {ALL_CELLS[j]} and {cell} both hold {digit}",
-                                    cells=(ALL_CELLS[j], cell))
+            if struck[i] & bit:
+                raise next(_repeats(givens))
             digits[i] = digit
             masks[i] = 0
-            used[row] |= bit
-            used[column] |= bit
-            used[block] |= bit
+            for j in _NEIGHBOR_SLOTS[i]:
+                struck[j] |= bit
         for i, digit in enumerate(digits):
             if not digit:
-                row, column, block = _SLOT_UNITS[i]
-                masks[i] &= ~(used[row] | used[column] | used[block])
+                masks[i] &= ~struck[i]
                 if not masks[i]:
                     raise Contradiction(f"cell {ALL_CELLS[i]} has no admissible digit",
                                         cells=(ALL_CELLS[i],))
@@ -201,6 +193,15 @@ class SudokuGrid(_Record):
         return render(self)
 
 
+def _repeats(givens: dict):
+    # The GridError of each repeated digit 1..9 among ``givens``, in unit order.
+    for unit in ALL_UNITS:
+        digits = [d if type(d) is int and d in DIGITS else 0 for d in map(givens.get, unit.cells)]
+        for k, digit in enumerate(digits):
+            if digit and digit in digits[:k]:
+                yield GridError(f"duplicate given {digit} in {unit} at cell {unit.cells[k]}")
+
+
 def grid_cells(text: str) -> list[str]:
     """One character per cell; whitespace and the ``|-+`` of :func:`render` skipped."""
     return [ch for ch in text if not ch.isspace() and ch not in "|-+"]
@@ -210,12 +211,10 @@ def parse_grid(text: str) -> SudokuGrid:
     """Read a grid from 81 significant characters; ``.`` and ``0`` are blanks.
 
     Layout is ignored (see :func:`grid_cells`), so one-line and 9x9 layouts
-    parse, and so does the output of :func:`render`.  The result is
-    ``SudokuGrid(givens)``, so each blank has its markup.  A wrong length, a
-    stray character or a duplicated given within a unit (the first in unit
-    order) raises :class:`GridError` naming the offending cell; else a blank
-    left with no digit raises :class:`Contradiction` naming the first in
-    slot order.
+    parse, and so does the output of :func:`render`.  A wrong length or a
+    stray character raises :class:`GridError`; else the result is
+    ``SudokuGrid(givens)``, so each blank has its markup, and a repeated given
+    or a blank left with no digit fails by that constructor's rules.
     """
     chars = grid_cells(text)
     if len(chars) != 81:
@@ -223,17 +222,7 @@ def parse_grid(text: str) -> SudokuGrid:
     for i, ch in enumerate(chars):
         if ch not in ".0123456789":
             raise GridError(f"bad character {ch!r} at cell {ALL_CELLS[i]}")
-    givens = {ALL_CELLS[i]: int(ch) for i, ch in enumerate(chars) if ch not in ".0"}
-    try:
-        return SudokuGrid(givens)
-    except Contradiction:  # every repeated given lands here, as a clash
-        for unit in ALL_UNITS:
-            digits = [givens.get(cell) for cell in unit.cells]
-            for k, digit in enumerate(digits):
-                if digit and digit in digits[:k]:
-                    raise GridError(f"duplicate given {digit} in {unit} "
-                                    f"at cell {unit.cells[k]}") from None
-        raise
+    return SudokuGrid({ALL_CELLS[i]: int(ch) for i, ch in enumerate(chars) if ch not in ".0"})
 
 
 def compute_markups(grid: SudokuGrid) -> SudokuGrid:

@@ -9,8 +9,10 @@ is ``REV``'s ``src/``, extracted with ``git archive REV src | tar -x`` into a
 temporary directory (local git only); the other side is this checkout's
 ``src/``, uncommitted edits included.  Without ``--base`` both sides load this
 checkout's ``src/``: an A/A run, which shows the spread that an A/B ratio has
-to beat.  Each tree is loaded under a package name of its own, so both sit
-side by side in ``sys.modules``.
+to beat.  With ``--base`` the A/B table is followed by that A/A, with the same
+rounds and seed, so each run carries its own noise floor.  Each tree is
+loaded under a package name of its own, so all sit side by side in
+``sys.modules``.
 
 Each side generates its inputs from the seed through the workload's own
 ``generate``, and every input's digest (``op`` then ``digest``) is compared
@@ -131,15 +133,18 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
+    workload = WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        base = ROOT / "src" if args.base is None else extract(args.base, Path(tmp))
-        sides = {"base": load_tree(base, "hallkernel_ab_base"),
-                 "this": load_tree(ROOT / "src", "hallkernel_ab_this")}
-        if args.base is None:
-            print("A/A: both sides are this checkout's src/")
-        else:
+        this = load_tree(ROOT / "src", "hallkernel_ab_this")
+        if args.base is not None:
+            base = load_tree(extract(args.base, Path(tmp)), "hallkernel_ab_base")
             print(f"A/B: base is {args.base}'s src/, this is this checkout's src/")
-        return paired(WORKLOADS[args.workload], sides, args.rounds, args.seed)
+            code = paired(workload, {"base": base, "this": this}, args.rounds, args.seed)
+            if code:
+                return code
+        print("A/A: both sides are this checkout's src/")
+        again = load_tree(ROOT / "src", "hallkernel_ab_again")
+        return paired(workload, {"this": this, "again": again}, args.rounds, args.seed)
 
 
 if __name__ == "__main__":

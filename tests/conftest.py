@@ -15,7 +15,7 @@ def mappings(draw, max_x=5, max_y=5, min_image=0):
     ny = draw(st.integers(1, max_y))
     images = {x: draw(st.sets(st.integers(1, ny), min_size=min_image, max_size=ny))
               for x in range(1, nx + 1)}
-    return FiniteMapping.from_dict(images, y_order=range(1, ny + 1))
+    return FiniteMapping(images, range(1, ny + 1), images)
 
 
 @st.composite
@@ -31,7 +31,7 @@ def hall_mappings(draw, max_x=5, max_y=5):
     planted = draw(st.permutations(range(1, ny + 1)))
     images = {x: {planted[x - 1]} | draw(st.sets(st.integers(1, ny), max_size=ny))
               for x in range(1, nx + 1)}
-    return FiniteMapping.from_dict(images, y_order=range(1, ny + 1))
+    return FiniteMapping(images, range(1, ny + 1), images)
 
 
 def stdin_of(data):
@@ -49,7 +49,7 @@ def all_mappings_3x3():
     y = (1, 2, 3)
     subsets = [tuple(s) for size in range(4) for s in combinations(y, size)]
     for imgs in product(subsets, repeat=3):
-        yield FiniteMapping.from_dict(dict(zip((1, 2, 3), imgs)), y_order=y)
+        yield FiniteMapping((1, 2, 3), y, dict(zip((1, 2, 3), imgs)))
 
 
 def random_mapping(rng, max_x=7, max_y=7):
@@ -59,7 +59,7 @@ def random_mapping(rng, max_x=7, max_y=7):
     density = rng.random()
     images = {x: {y for y in range(1, ny + 1) if rng.random() < density}
               for x in range(1, nx + 1)}
-    return FiniteMapping.from_dict(images, y_order=range(1, ny + 1))
+    return FiniteMapping(images, range(1, ny + 1), images)
 
 
 def relabelled(mapping, rng):

@@ -19,7 +19,7 @@ def ab(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     yield module
-    for name in [m for m in sys.modules if m.startswith("hallkernel_ab_test")]:
+    for name in [m for m in sys.modules if m.startswith("hallkernel_ab_")]:
         del sys.modules[name]
 
 
@@ -39,3 +39,15 @@ def test_a_a_runs_and_a_digest_mismatch_is_an_error(ab, monkeypatch):
     out = io.StringIO()
     assert ab.paired(workload, sides, 2, 1, out) == 1
     assert out.getvalue().startswith("ab: digest mismatch at input 0: ")
+
+
+def test_an_a_b_prints_its_own_a_a_after_it(ab, monkeypatch, capsys):
+    # The base side is this checkout's src/ too, so no git runs.
+    monkeypatch.setattr(ab, "extract", lambda rev, dest: SRC)
+    assert ab.main(["scan-large", "--base", "HEAD", "--rounds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "A/B: base is HEAD's src/, this is this checkout's src/"
+    assert "A/A: both sides are this checkout's src/" in lines
+    ratios = [line for line in lines if " median ratio: " in line]
+    assert [line.split()[0] for line in ratios] == ["this/base", "again/this"]
+    assert lines.index(ratios[0]) < lines.index("A/A: both sides are this checkout's src/")

@@ -124,7 +124,7 @@ class TestMappingDocuments:
                         FiniteMapping.from_dict({"a#b": {1}}),
                         FiniteMapping.from_dict({"a": {"p#q"}}),
                         FiniteMapping.from_dict({1: {1}, "1": {2}}),
-                        FiniteMapping.from_dict({"a": {1, "1"}}, y_order=(1, "1"))):
+                        FiniteMapping(["a"], (1, "1"), {"a": {1, "1"}})):
             with pytest.raises(DocumentError):
                 serialize_mapping_document(mapping)
 
@@ -515,6 +515,36 @@ def test_enumerate_draws_each_selection_as_it_is_written(tmp_path, capsys, monke
     code, out, _ = run(capsys, ["enumerate", "--input", path, "--format", "json"])
     assert code == 0 and len(json.loads(out)["selections"]) == 40320
     assert len(drawn) == len(set(drawn)) == 40320
+
+
+def test_enumerate_draws_each_json_selection_as_it_is_written(tmp_path, monkeypatch):
+    # JSON goes out a selection at a time too: a reader that fails the second
+    # write, the first selection's, has cost that selection, not all 40,320.
+    class ReaderLeft(Exception):
+        pass
+
+    class OneWriteOut(io.StringIO):
+        def write(self, text):
+            if self.getvalue():
+                raise ReaderLeft
+            return super().write(text)
+
+    drawn = []
+
+    def counting(mapping):
+        for selection in iter_selections(mapping):
+            drawn.append(selection)
+            yield selection
+
+    monkeypatch.setattr(cli, "iter_selections", counting)
+    k88 = FiniteMapping.from_dict({i: range(8) for i in range(8)})
+    path = write(tmp_path, "k88.txt", serialize_mapping_document(k88))
+    out = OneWriteOut()
+    with monkeypatch.context() as patch, pytest.raises(ReaderLeft):
+        patch.setattr("sys.stdout", out)
+        main(["enumerate", "--input", path, "--format", "json"])
+    assert len(drawn) == 1
+    assert out.getvalue() == '{"selections": ['
 
 
 def test_a_process_imports_only_what_its_subcommand_runs(tmp_path, capsys):

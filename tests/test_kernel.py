@@ -100,7 +100,7 @@ class TestIsAlldifferent:
 
     def test_empty_image_is_not_alldifferent(self):
         assert not is_alldifferent(
-            FiniteMapping.from_dict({1: (), 2: {1}}, y_order=(1,)))
+            FiniteMapping((1, 2), (1,), {1: (), 2: {1}}))
 
 
 class TestHasUniqueSelection:
@@ -431,7 +431,7 @@ def large_selection_corpus():
                     for img in chained_blocks(rng, n - 3, 5)]
             families.append(bits + [{n, n + 1}] * 3)
         for k, images in enumerate(families):
-            f = FiniteMapping.from_dict(dict(enumerate(images)), y_order=range(n + 2))
+            f = FiniteMapping(range(len(images)), range(n + 2), dict(enumerate(images)))
             yield f if k == 0 else relabelled(f, rng)
 
 

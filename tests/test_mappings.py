@@ -45,7 +45,7 @@ class TestConstruction:
         assert FiniteMapping.from_dict({"p": {(ac,), (ab,), 1}}).y_labels == (1, (ab,), (ac,))
 
     def test_explicit_y_order(self):
-        f = FiniteMapping.from_dict({1: {2}}, y_order=(3, 2, 1))
+        f = FiniteMapping((1,), (3, 2, 1), {1: {2}})
         assert f.y_labels == (3, 2, 1)
 
     def test_empty_domain_rejected(self):
@@ -111,8 +111,7 @@ class TestComplement:
 
     def test_restriction_only(self):
         got = complement(M1, {3}, ())
-        assert got == FiniteMapping.from_dict({1: {1, 2}, 2: {1, 2}},
-                                              y_order=(1, 2, 3))
+        assert got == FiniteMapping((1, 2), (1, 2, 3), {1: {1, 2}, 2: {1, 2}})
 
     def test_whole_domain_rejected(self):
         with pytest.raises(DomainError):

@@ -244,7 +244,7 @@ def test_unchanged_unit_keys_hold_no_single():
         assert all(m & (m - 1) for m in key)
         assert kernel_by_definition(key) == list(key)
         if len(key) <= 7:
-            f = FiniteMapping.from_dict({k: bit_indices(m) for k, m in enumerate(key)},
-                                        y_order=range(10))
+            images = {k: bit_indices(m) for k, m in enumerate(key)}
+            f = FiniteMapping(images, range(10), images)
             assert tuple([f.y_bits(img) for img in oracle_kernel(f).images]) == key
     assert sum(len(key) <= 7 for key in marked) > 900

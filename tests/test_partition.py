@@ -498,7 +498,7 @@ class TestCheckHall:
         assert check_hall(FiniteMapping.from_dict({1: {1}, 2: {1}})).witness == {1, 2}
 
     def test_empty_image_witness_contains_element(self):
-        f = FiniteMapping.from_dict({1: {1}, 2: (), 3: {2, 3}}, y_order=(1, 2, 3))
+        f = FiniteMapping((1, 2, 3), (1, 2, 3), {1: {1}, 2: (), 3: {2, 3}})
         violation = check_hall(f)
         assert 2 in violation.witness
 

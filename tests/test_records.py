@@ -81,7 +81,7 @@ def test_frozen_records_hash_by_value_and_refuse_changes(make, text):
 
 def test_finite_mapping_refuses_changes_and_copies_by_value():
     # A codomain value no image holds and an empty image survive the copies.
-    mapping = FiniteMapping.from_dict({1: {1, 2}, 2: set()}, y_order=(1, 2, 3))
+    mapping = FiniteMapping((1, 2), (1, 2, 3), {1: {1, 2}, 2: set()})
     for name in FiniteMapping.__slots__:
         with pytest.raises(AttributeError):
             setattr(mapping, name, getattr(mapping, name))
