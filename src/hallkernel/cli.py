@@ -17,9 +17,10 @@ only the one it prints.  A process imports only what its subcommand runs:
 a bad grid as a :class:`DocumentError`, :mod:`json` by ``--format json``
 alone, and :mod:`hallkernel.oracle`, the tests' reference, by none.
 
-Mapping document format: ``#`` starts a comment; optional ``X:`` / ``Y:``
-header lines list whitespace-separated element tokens; every body line is
-``<x> : <y1> <y2> ...``, written ``<x> :`` for an empty image.
+Mapping document format, stated by :func:`parse_mapping_document` alone (the
+package writes no documents): ``#`` starts a comment; optional ``X:`` /
+``Y:`` header lines list whitespace-separated element tokens; every body line
+is ``<x> : <y1> <y2> ...``, written ``<x> :`` for an empty image.
 """
 
 from __future__ import annotations
@@ -101,30 +102,6 @@ def parse_mapping_document(text: str) -> FiniteMapping:
 def _reject_duplicates(tokens: list[str], where: str) -> None:
     if len(set(tokens)) != len(tokens):
         raise DocumentError(f"{where} contains duplicate tokens")
-
-
-def serialize_mapping_document(mapping: FiniteMapping) -> str:
-    """Write a mapping back out in canonical document form.
-
-    Refuses, with :class:`DocumentError`, what would not parse back: a label
-    whose ``str`` is empty or holds whitespace, ``:`` or ``#``, and two labels
-    of one ground set with the same ``str``.
-    """
-    for labels in (mapping.x_labels, mapping.y_labels):
-        seen: dict[str, object] = {}
-        for label in labels:
-            token = str(label)
-            if not token or any(ch in ":#" or ch.isspace() for ch in token):
-                raise DocumentError(f"label {label!r} cannot be written as a token")
-            if token in seen:
-                raise DocumentError(
-                    f"labels {seen[token]!r} and {label!r} are both written as {token!r}")
-            seen[token] = label
-    lines = ["X: " + " ".join(str(x) for x in mapping.x_labels),
-             "Y: " + " ".join(str(y) for y in mapping.y_labels)]
-    for x, bits in zip(mapping.x_labels, mapping.image_bits):
-        lines.append(f"{x} :" + "".join(f" {y}" for y in mapping.y_labels_of(bits)))
-    return "\n".join(lines) + "\n"
 
 
 # -- formatting helpers ----------------------------------------------------
@@ -248,8 +225,7 @@ def _sudoku_record(run, text: str):
     return 0, {
         "grid": sudoku.grid_line(grid),
         "complete": grid.is_complete,
-        "candidates": {f"{r},{c}": sorted(v)
-                       for (r, c), v in sorted(grid.candidates.items())},
+        "candidates": {f"{r},{c}": sorted(v) for (r, c), v in grid.candidates.items()},
     }, [sudoku.render(grid)]
 
 

@@ -27,7 +27,6 @@ its digit itself and re-propagates from the units that promotion changed.
 
 from __future__ import annotations
 
-from collections import deque
 from types import MappingProxyType
 
 from .mappings import DomainError, FiniteMapping, _Record, bit_indices
@@ -117,10 +116,11 @@ class SudokuGrid(_Record):
     A cell that is neither a given nor a key of ``candidates`` is unpopulated
     with all nine digits, and each given's digit leaves its 20 neighbours, so
     a grid of givens alone stands for its markups.  Building a grid is its
-    only check.  A cell off the grid, a given not an ``int`` in 1..9, a
-    candidate not in 1..9, a cell with both a given and candidates or a
-    repeated given is a :class:`GridError`; an unpopulated cell left with no
-    digit, a :class:`Contradiction` naming the first in slot order.  Each
+    only check.  A cell off the grid, a given or candidate not an ``int`` in
+    1..9 (``True`` is not), candidates not an iterable (any is read once), a
+    cell with both a given and candidates or a repeated given is a
+    :class:`GridError`; an unpopulated cell left with no digit, a
+    :class:`Contradiction` naming the first in slot order.  Each
     given is checked for its digit, then for candidates, then for a repeat,
     before the next; a repeat is named as :func:`parse_grid` names it, the
     first in unit order over all the givens.  A grid is immutable, hashable
@@ -141,20 +141,20 @@ class SudokuGrid(_Record):
         digits = [0] * 81
         masks = [_DIGIT_BITS] * 81
         for cell, listed in candidates.items():
-            try:  # 5.0 is in DIGITS but cannot shift, and fails as a non-digit does
-                if not DIGITS.issuperset(listed):
-                    raise TypeError
-                masks[_SLOT_OF[cell]] = sum({1 << d for d in listed})
-            except TypeError:
-                raise GridError(f"cell {cell} has candidates outside 1..9: {listed!r}") from None
+            try:  # each member read once, so an iterator serves
+                bits = {_digit_bit(d) for d in listed}
+            except TypeError:  # not iterable
+                bits = {0}
+            if 0 in bits:
+                raise GridError(f"cell {cell} has candidates outside 1..9: {listed!r}")
+            masks[_SLOT_OF[cell]] = sum(bits)
         struck = [0] * 81  # each slot's mask of the digits given among its neighbours
         for cell, digit in givens.items():
-            if type(digit) is not int or digit not in DIGITS:
+            if not (bit := _digit_bit(digit)):
                 raise GridError(f"cell {cell} has given {digit!r}, not a digit 1..9")
             if cell in candidates:
                 raise GridError(f"cell {cell} has both a given and candidates")
             i = _SLOT_OF[cell]
-            bit = 1 << digit
             if struck[i] & bit:
                 raise next(_repeats(givens))
             digits[i] = digit
@@ -193,13 +193,19 @@ class SudokuGrid(_Record):
         return render(self)
 
 
+def _digit_bit(value) -> int:
+    # The bit of a digit: an ``int`` in 1..9, not a ``bool``; 0 for anything else.
+    return 1 << value if type(value) is int and 0 < value < 10 else 0
+
+
 def _repeats(givens: dict):
     # The GridError of each repeated digit 1..9 among ``givens``, in unit order.
     for unit in ALL_UNITS:
-        digits = [d if type(d) is int and d in DIGITS else 0 for d in map(givens.get, unit.cells)]
-        for k, digit in enumerate(digits):
-            if digit and digit in digits[:k]:
-                yield GridError(f"duplicate given {digit} in {unit} at cell {unit.cells[k]}")
+        seen = 0
+        for cell in unit.cells:
+            if seen & (bit := _digit_bit(givens.get(cell))):
+                yield GridError(f"duplicate given {givens[cell]} in {unit} at cell {cell}")
+            seen |= bit
 
 
 def grid_cells(text: str) -> list[str]:
@@ -238,6 +244,8 @@ def unit_mapping(grid: SudokuGrid, unit: Unit) -> FiniteMapping:
     Public as the paper's view of one unit, for callers and demos; the
     solver runs on bitsets and never builds it.
     """
+    if off := [c for c in unit.cells if c not in _SLOT_OF]:
+        raise DomainError(f"cell {off[0]!r} of {unit} is not on the grid")
     masks = grid._masks
     images = {c: bit_indices(m) for c in unit.cells if (m := masks[_SLOT_OF[c]])}
     if not images:
@@ -334,15 +342,15 @@ def _promote(givens: list, masks: list, slots, visited: int) -> int:
     # search branch, else the bit of the unit whose kernel found ``slots``:
     # each one's digit is in no other kernel image of that unit, so promoting
     # it changes nothing there, and a cascade that strikes one of the unit's
-    # cells marks it as a neighbour's unit.  Every slot is dequeued once, with
-    # a one-bit mask: the starting slots are distinct singles, a cascade
-    # queues a slot only when a strike takes it from two or more candidates
-    # to one, and a single loses its digit only by raising Contradiction.
-    # (An empty mask would give digit -1, and ``cand >> -1`` raises.)
+    # cells marks it as a neighbour's unit.  The queue, a list walked as it
+    # grows, takes every slot once, with a one-bit mask: the starting slots
+    # are distinct singles, a cascade queues a slot only when a strike takes
+    # it from two or more candidates to one, and a single loses its digit
+    # only by raising Contradiction (an empty mask would give digit -1, and
+    # ``cand >> -1`` raises).
     dirty = 0
-    queue = deque(slots)
-    while queue:
-        i = queue.popleft()
+    queue = list(slots)
+    for i in queue:
         mask, masks[i] = masks[i], 0
         givens[i] = digit = mask.bit_length() - 1
         dirty |= _UNIT_BITS[i] & ~visited

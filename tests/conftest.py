@@ -6,6 +6,7 @@ from itertools import chain, combinations, product
 from hypothesis import strategies as st
 
 from hallkernel import FiniteMapping, image_of_set, is_critical
+from hallkernel.cli import parse_mapping_document
 
 
 @st.composite
@@ -42,6 +43,26 @@ def stdin_of(data):
     if isinstance(data, str):
         data = data.encode("utf-8")
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+def document(mapping) -> str:
+    """``mapping`` as canonical document text, read back before it is returned.
+
+    ``X:`` and ``Y:`` headers, then one ``x :`` line per element followed by
+    `` y`` for each value of its image.  The parser is the grammar: the text
+    must read back as the mapping with each label as its ``str`` and the same
+    image bits, so a test document never differs from its mapping.
+    """
+    lines = ["X: " + " ".join(map(str, mapping.x_labels)),
+             "Y: " + " ".join(map(str, mapping.y_labels))]
+    for x, bits in zip(mapping.x_labels, mapping.image_bits):
+        lines.append(f"{x} :" + "".join(f" {y}" for y in mapping.y_labels_of(bits)))
+    text = "\n".join(lines) + "\n"
+    read = parse_mapping_document(text)
+    assert read.x_labels == tuple(map(str, mapping.x_labels))
+    assert read.y_labels == tuple(map(str, mapping.y_labels))
+    assert read.image_bits == mapping.image_bits
+    return text
 
 
 def all_mappings_3x3():

@@ -1,6 +1,7 @@
 """Source-level checks over the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import hallkernel
@@ -34,6 +35,16 @@ def package_nodes():
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             yield path.name, node
+
+
+def test_package_parses_at_the_declared_python_floor():
+    # The suite runs on whatever interpreter is at hand, which may be newer
+    # than the floor pyproject.toml declares; the grammar is checked at the
+    # floor (``feature_version`` is best effort and checks no library call).
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    for path in sorted(PACKAGE.rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=floor)
 
 
 def test_no_assert_statements_in_package():

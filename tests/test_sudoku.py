@@ -20,6 +20,7 @@ from hallkernel.sudoku import (
     Contradiction,
     GridError,
     SudokuGrid,
+    Unit,
     compute_markups,
     grid_line,
     is_solved,
@@ -274,6 +275,10 @@ class TestUnitMapping:
         with pytest.raises(DomainError):
             unit_mapping(grid, ROWS[0])
 
+    def test_a_cell_off_the_grid_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=re.escape("cell (0, 0) of row 1 is not on")):
+            unit_mapping(parse_grid("." * 81), Unit("row", 1, ((0, 0),)))
+
     def test_singleton_candidate(self):
         chars = ["."] * 81
         for c in range(1, 9):
@@ -355,8 +360,11 @@ class TestPropagate:
         ((1, 1), 5.0, None),
         ((1, 1), True, None),
         ((1, 1), None, {5.0}),
+        ((1, 1), None, {True, 3}),
+        ((1, 1), None, 5),
     ], ids=["given-12", "given-0", "candidates-10", "candidates-0-5", "cell-off-the-grid",
-            "given-and-candidates", "given-5.0", "given-True", "candidates-5.0"])
+            "given-and-candidates", "given-5.0", "given-True", "candidates-5.0",
+            "candidates-True", "candidates-not-iterable"])
     def test_impossible_hand_built_cell_is_a_grid_error(self, cell, given, candidates):
         # parse_grid never builds these; building one must name the cell
         # rather than make a grid that breaks it or fail somewhere inside.
@@ -365,6 +373,15 @@ class TestPropagate:
             listed[cell] = candidates
         with pytest.raises(GridError, match=re.escape(f"cell {cell} ")):
             SudokuGrid({} if given is None else {cell: given}, listed)
+
+    def test_candidates_may_be_one_shot_iterators(self):
+        # Each cell's candidates are read once, so an iterator builds the
+        # grid that the same digits as a set build.
+        assert SudokuGrid(candidates={(1, 2): iter([3])}).candidates[(1, 2)] == {3}
+        grid = propagate(parse_grid(INKALA))
+        listed = {c: iter(v) for c, v in grid.candidates.items()}
+        assert listed and SudokuGrid(grid.givens, listed) == SudokuGrid(
+            grid.givens, grid.candidates) == grid
 
     def test_a_candidate_listed_twice_counts_once(self):
         text = ("53..7....6..195....98....6.8...6...34..8.3..17...2...6"
